@@ -20,12 +20,12 @@
 #include "core/selector_extractor.h"
 #include "core/selector_grinder.h"
 #include "core/storage_collision.h"
-#include "core/storage_profile.h"
 #include "crypto/eth.h"
 #include "crypto/keccak.h"
 #include "datagen/contract_factory.h"
 #include "evm/disassembler.h"
 #include "obs/metrics.h"
+#include "static/layout.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -208,14 +208,6 @@ void BM_FunctionCollisionCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionCollisionCheck);
 
-void BM_StorageProfile_AudiusLogic(benchmark::State& state) {
-  const Bytes code = ContractFactory::audius_style_logic();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::profile_storage(code).accesses.size());
-  }
-}
-BENCHMARK(BM_StorageProfile_AudiusLogic);
-
 void BM_StorageCollisionCheck_WithVerification(benchmark::State& state) {
   auto& w = world();
   const Bytes proxy_code = w.chain.get_code(w.audius_proxy);
@@ -247,12 +239,13 @@ BENCHMARK(BM_SelectorGrind_HashRate);
 
 void BM_Artifacts_Recompute(benchmark::State& state) {
   // What every stage of the seed pipeline paid per contract: disassemble,
-  // extract selectors, profile storage — from scratch each time.
+  // extract selectors, infer the storage layout — from scratch each time.
   const Bytes code = ContractFactory::token_contract(1);
   for (auto _ : state) {
     evm::Disassembly dis(code);
     benchmark::DoNotOptimize(core::extract_selectors(dis).size());
-    benchmark::DoNotOptimize(core::profile_storage(dis).accesses.size());
+    benchmark::DoNotOptimize(
+        static_analysis::infer_layout(dis).members.size());
   }
 }
 BENCHMARK(BM_Artifacts_Recompute);
@@ -262,11 +255,12 @@ void BM_Artifacts_WarmCacheLookup(benchmark::State& state) {
   const Bytes code = ContractFactory::token_contract(1);
   const crypto::Hash256 hash = evm::code_hash(code);
   core::AnalysisCache cache;
-  cache.storage_profile(hash, code);  // warm all three artifacts
+  cache.selectors(hash, code);  // warm all three artifacts
+  cache.layout(hash, code);
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.disassembly(hash, code).get());
     benchmark::DoNotOptimize(cache.selectors(hash, code)->size());
-    benchmark::DoNotOptimize(cache.storage_profile(hash, code).get());
+    benchmark::DoNotOptimize(cache.layout(hash, code).get());
   }
 }
 BENCHMARK(BM_Artifacts_WarmCacheLookup);
@@ -422,7 +416,7 @@ void macro_section() {
   }
 
   // Cold vs warm analysis cache: the same pipeline swept twice. The second
-  // sweep serves every code blob, every disassembly/selector/profile
+  // sweep serves every code blob, every disassembly/selector/layout
   // artifact, and every proxy verdict (keyed by code hash + address) from
   // the persistent caches; pair outcomes are recomputed each run — they
   // depend on run-local donor state and live proxy storage — but their

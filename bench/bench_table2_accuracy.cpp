@@ -221,8 +221,8 @@ std::vector<LabelledPair> build_storage_dataset(DatasetBuilder& b) {
   }
 
   // (5) Real collision hidden in a keccak-derived mapping slot: both sides
-  // write mapping entries of incompatible types. Proxion's concrete-slot
-  // profiler skips hashed slots (FN source); source-level layouts still
+  // write mapping entries of incompatible types. Proxion's static-slot
+  // comparison skips hashed slots (FN source); source-level layouts still
   // reveal the drift to name-based tools.
   for (int i = 0; i < 25; ++i) {
     LabelledPair p;

@@ -56,20 +56,6 @@ std::shared_ptr<const std::vector<std::uint32_t>> AnalysisCache::selectors(
   return entry->selectors;
 }
 
-std::shared_ptr<const StorageProfile> AnalysisCache::storage_profile(
-    const crypto::Hash256& code_hash, evm::BytesView code) {
-  const std::shared_ptr<Entry> entry = entry_for(code_hash);
-  std::lock_guard<std::mutex> lk(entry->mu);
-  if (entry->profile) {
-    profile_hits_.add(1);
-  } else {
-    profile_misses_.add(1);
-    entry->profile = std::make_shared<const StorageProfile>(
-        profile_storage(*ensure_disassembly(*entry, code)));
-  }
-  return entry->profile;
-}
-
 const std::shared_ptr<const static_analysis::StaticReport>&
 AnalysisCache::ensure_static_report(Entry& entry, evm::BytesView code) {
   // No hit/miss accounting here: static_{hits,misses} mean "triage
@@ -124,8 +110,6 @@ AnalysisCacheStats AnalysisCache::stats() const {
   s.disassembly_misses = disassembly_misses_.value();
   s.selector_hits = selector_hits_.value();
   s.selector_misses = selector_misses_.value();
-  s.profile_hits = profile_hits_.value();
-  s.profile_misses = profile_misses_.value();
   s.static_hits = static_hits_.value();
   s.static_misses = static_misses_.value();
   s.layout_hits = layout_hits_.value();

@@ -1,11 +1,11 @@
 // Code-hash-keyed memoization for the sweep pipeline (the amortization layer
 // behind §6.1's throughput claim). Every downstream stage of the pipeline
 // used to recompute the same per-bytecode artifacts — the linear-sweep
-// disassembly, the dispatcher-pattern selector list, and the CRUSH-style
-// storage profile — once per stage and once per proxy/logic pair, even
-// though all three are pure functions of the code blob. This cache computes
-// each artifact at most once per distinct code hash and shares it across
-// stages, contracts, and pipeline runs.
+// disassembly, the dispatcher-pattern selector list, the static-tier report
+// and the inferred storage layout — once per stage and once per proxy/logic
+// pair, even though all of them are pure functions of the code blob. This
+// cache computes each artifact at most once per distinct code hash and
+// shares it across stages, contracts, and pipeline runs.
 //
 // Concurrency: the entry table is sharded N ways (lock striping on the code
 // hash) so the sweep's workers rarely contend; each entry then carries its
@@ -22,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/storage_profile.h"
 #include "crypto/keccak.h"
 #include "evm/disassembler.h"
 #include "obs/metrics.h"
@@ -36,8 +35,6 @@ struct AnalysisCacheStats {
   std::uint64_t disassembly_misses = 0;
   std::uint64_t selector_hits = 0;
   std::uint64_t selector_misses = 0;
-  std::uint64_t profile_hits = 0;
-  std::uint64_t profile_misses = 0;
   std::uint64_t static_hits = 0;
   std::uint64_t static_misses = 0;
   std::uint64_t layout_hits = 0;
@@ -45,12 +42,11 @@ struct AnalysisCacheStats {
   std::uint64_t entries = 0;  // distinct code hashes ever seen
 
   std::uint64_t hits() const noexcept {
-    return disassembly_hits + selector_hits + profile_hits + static_hits +
-           layout_hits;
+    return disassembly_hits + selector_hits + static_hits + layout_hits;
   }
   std::uint64_t misses() const noexcept {
-    return disassembly_misses + selector_misses + profile_misses +
-           static_misses + layout_misses;
+    return disassembly_misses + selector_misses + static_misses +
+           layout_misses;
   }
 };
 
@@ -73,19 +69,15 @@ class AnalysisCache {
   std::shared_ptr<const std::vector<std::uint32_t>> selectors(
       const crypto::Hash256& code_hash, evm::BytesView code);
 
-  /// The CRUSH-style storage profile (§5.2). Also computed off the cached
-  /// disassembly.
-  std::shared_ptr<const StorageProfile> storage_profile(
-      const crypto::Hash256& code_hash, evm::BytesView code);
-
   /// The static-tier report (CFG recovery + DELEGATECALL provenance): a pure
   /// function of the bytecode, so a warm sweep pays zero static-analysis
   /// cost. Also computed off the cached disassembly.
   std::shared_ptr<const static_analysis::StaticReport> static_report(
       const crypto::Hash256& code_hash, evm::BytesView code);
 
-  /// The inferred storage layout (static/layout.h): pure function of the
-  /// bytecode, derived from the cached static report's CFG. Computes (and
+  /// The inferred storage layout (static/layout.h) the §5.2 collision check
+  /// compares: pure function of the bytecode, derived from the cached static
+  /// report's CFG. Computes (and
   /// caches) the disassembly and static report as byproducts when absent.
   std::shared_ptr<const static_analysis::StorageLayout> layout(
       const crypto::Hash256& code_hash, evm::BytesView code);
@@ -107,7 +99,6 @@ class AnalysisCache {
     std::mutex mu;
     std::shared_ptr<const evm::Disassembly> dis;
     std::shared_ptr<const std::vector<std::uint32_t>> selectors;
-    std::shared_ptr<const StorageProfile> profile;
     std::shared_ptr<const static_analysis::StaticReport> static_report;
     std::shared_ptr<const static_analysis::StorageLayout> layout;
   };
@@ -140,8 +131,6 @@ class AnalysisCache {
   obs::Counter disassembly_misses_;
   obs::Counter selector_hits_;
   obs::Counter selector_misses_;
-  obs::Counter profile_hits_;
-  obs::Counter profile_misses_;
   obs::Counter static_hits_;
   obs::Counter static_misses_;
   obs::Counter layout_hits_;

@@ -246,7 +246,7 @@ std::uint8_t layout_vs_emulation_mismatch(
     }
     if (w.old_value == w.new_value) continue;  // no observable byte change
     // Changed byte range, as (offset from the LSB end, width) — the
-    // core::StorageAccess convention the layout's ranges use.
+    // LayoutMember convention the layout's ranges use.
     const auto ob = w.old_value.to_be_bytes();
     const auto nb = w.new_value.to_be_bytes();
     int first = -1, last = -1;

@@ -1,8 +1,8 @@
 // Upgrade-induced storage drift (§2.3): "Upgrading the logic contract to
 // newer versions that change the order or types of variables also
 // facilitates storage collisions." Given a proxy's full logic history
-// (Algorithm 1), this detector compares the storage profile of each logic
-// version against its successor and flags slots whose typed byte ranges
+// (Algorithm 1), this detector compares the inferred storage layout of each
+// logic version against its successor and flags slots whose typed byte ranges
 // changed across the upgrade — data written by vN is reinterpreted by vN+1.
 #pragma once
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/logic_finder.h"
-#include "core/storage_profile.h"
 #include "evm/host.h"
 #include "evm/types.h"
 

@@ -41,8 +41,7 @@ struct RawAccess {
 };
 
 /// Is `mask` a contiguous run of 0xff bytes somewhere in the word? Returns
-/// (byte offset from the LSB end, byte width). Same convention as
-/// core::StorageAccess.
+/// (byte offset from the LSB end, byte width).
 std::optional<std::pair<std::uint8_t, std::uint8_t>> contiguous_byte_mask(
     const U256& mask) {
   const auto be = mask.to_be_bytes();
@@ -73,10 +72,10 @@ std::optional<std::uint8_t> low_mask_width(const U256& mask) {
   return static_cast<std::uint8_t>(bits / 8);
 }
 
-/// Block-local mask/shift scanner: core::storage_profile's slicing idioms
-/// (narrowing AND, packed-write hole/OR, CALLER comparisons, guard edges)
-/// extended with an abstract memory so KECCAK256 over recorded words
-/// resolves mapping/array slot families instead of poisoning to unknown.
+/// Block-local mask/shift scanner: CRUSH's slicing idioms (narrowing AND,
+/// packed-write hole/OR, CALLER comparisons, guard edges) plus an abstract
+/// memory so KECCAK256 over recorded words resolves mapping/array slot
+/// families instead of poisoning to unknown.
 class LayoutScanner {
  public:
   LayoutScanner(std::vector<RawAccess>& accesses,
@@ -458,8 +457,8 @@ class LayoutScanner {
         if (caller != nullptr && other->kind == Val::Kind::kSload &&
             other->access_index >= 0) {
           // CALLER comparison types the read as an address at the read's
-          // packing offset (refine_read, not a direct width clobber — same
-          // fix as core::storage_profile).
+          // packing offset (refine_read, not a direct width clobber, which
+          // would leave offset 0 and claim every lower-packed neighbour).
           refine_read(*other, 20);
           auto& access =
               accesses_[static_cast<std::size_t>(other->access_index)];
@@ -623,6 +622,16 @@ bool StorageLayout::admits_slot(const U256& slot) const noexcept {
   return false;
 }
 
+std::span<const LayoutMember> StorageLayout::members_at(
+    const U256& slot) const noexcept {
+  const auto first = std::partition_point(
+      members.begin(), members.end(),
+      [&](const LayoutMember& m) { return m.slot < slot; });
+  auto last = first;
+  while (last != members.end() && last->slot == slot) ++last;
+  return {first, last};
+}
+
 bool StorageLayout::covers_range(const U256& slot, std::uint8_t offset,
                                  std::uint8_t width) const noexcept {
   const unsigned end = std::min(32u, static_cast<unsigned>(offset) + width);
@@ -658,7 +667,8 @@ std::string StorageLayout::to_string() const {
         << int{m.width} << ")";
     if (m.read) out << " r";
     if (m.written) out << " w";
-    if (m.caller_compared) out << " sensitive";
+    if (m.caller_compared) out << " caller-compared";
+    if (m.caller_written) out << " caller-write";
     if (m.unguarded_write) out << " unguarded";
     out << '\n';
   }
@@ -772,6 +782,7 @@ StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
       member->written |= a.is_write;
       member->caller_compared |= a.caller_compared;
       if (a.is_write) {
+        member->caller_written |= a.origin == WriteOrigin::kCaller;
         member->unguarded_write |= !a.guarded;
         member->write_origin = merge_origin(member->write_origin, a.origin);
       }

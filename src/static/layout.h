@@ -5,13 +5,17 @@
 // disassembly plus the abstract interpreter's storage facts (cfg.h).
 //
 // Two evidence streams are unioned:
-//   * a block-local mask/shift scanner (the width/offset conventions of
-//     core::StorageAccess: a bool read masks 0xff, an address masks 2^160-1
-//     or compares against CALLER, packed writes carve a hole) extended with
-//     an abstract memory so `keccak256(key ++ base_slot)` derivations
-//     resolve to slot families instead of being dropped;
+//   * a block-local mask/shift scanner after CRUSH (§5.2): a bool read masks
+//     0xff, an address masks 2^160-1 or compares against CALLER, packed
+//     writes carve a hole; plus an abstract memory so
+//     `keccak256(key ++ base_slot)` derivations resolve to slot families
+//     instead of being dropped;
 //   * the CFG's per-site StorageFacts, which are path-sensitive and catch
 //     cross-block slot computations the scanner misses.
+//
+// This is the one storage model of the codebase: the §5.2 storage-collision
+// check, the §2.3 upgrade-drift check and the static tier's layout
+// cross-check all read it.
 //
 // Soundness posture mirrors the PR-4 oracle pattern: the layout makes
 // contradictable claims only while `reliable()` holds — the CFG must be
@@ -22,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,9 +34,7 @@
 
 namespace proxion::static_analysis {
 
-/// Provenance of the value written into a storage range (mirrors
-/// core::ValueOrigin; duplicated here because src/static cannot depend on
-/// src/core).
+/// Provenance of the value written into a storage range.
 enum class WriteOrigin : std::uint8_t {
   kUnknown,
   kConstant,
@@ -48,12 +51,27 @@ struct LayoutMember {
   std::uint8_t width = 32;
   bool read = false;
   bool written = false;
-  /// The range feeds a CALLER-equality comparison somewhere (the CRUSH
-  /// "sensitive slot" notion).
+  /// The range feeds a CALLER-equality comparison somewhere.
   bool caller_compared = false;
+  /// Some write stored a CALLER-derived value into this range. Kept apart
+  /// from `write_origin`, whose merge forgets kCaller when writes disagree.
+  bool caller_written = false;
   /// Some write to this range executes outside a caller-equality guard.
   bool unguarded_write = false;
   WriteOrigin write_origin = WriteOrigin::kUnknown;
+
+  /// The range takes part in an access-control decision (the CRUSH
+  /// "sensitive slot" notion).
+  bool sensitive() const noexcept { return caller_compared || caller_written; }
+  /// Same byte range (the slot is not compared)?
+  bool same_range(const LayoutMember& o) const noexcept {
+    return offset == o.offset && width == o.width;
+  }
+  /// Do the byte ranges of two views of the same slot share a byte?
+  bool overlaps(const LayoutMember& o) const noexcept {
+    return slot == o.slot && offset < o.offset + o.width &&
+           o.offset < offset + width;
+  }
 
   friend bool operator==(const LayoutMember&, const LayoutMember&) = default;
 };
@@ -104,6 +122,9 @@ struct StorageLayout {
 
   /// Any member at this static slot (any byte range)?
   bool admits_slot(const U256& slot) const noexcept;
+  /// Every typed view of `slot`, in (offset, width) order; empty when the
+  /// contract never touches it.
+  std::span<const LayoutMember> members_at(const U256& slot) const noexcept;
   /// Is every byte of [offset, offset+width) on `slot` covered by the union
   /// of member ranges recorded for it?
   bool covers_range(const U256& slot, std::uint8_t offset,

@@ -15,6 +15,7 @@
 #include "datagen/contract_factory.h"
 #include "datagen/population.h"
 #include "evm/types.h"
+#include "static/layout.h"
 
 namespace {
 
@@ -44,7 +45,7 @@ TEST(AnalysisCacheTest, DisassemblyHitMissAccounting) {
   EXPECT_EQ(first.get(), second.get());  // the same shared artifact
 }
 
-TEST(AnalysisCacheTest, SelectorsAndProfileShareTheDisassembly) {
+TEST(AnalysisCacheTest, SelectorsAndLayoutShareTheDisassembly) {
   AnalysisCache cache(8);
   const Bytes code = token_code();
   const crypto::Hash256 hash = evm::code_hash(code);
@@ -55,17 +56,18 @@ TEST(AnalysisCacheTest, SelectorsAndProfileShareTheDisassembly) {
   EXPECT_EQ(s.selector_misses, 1u);
   EXPECT_EQ(s.disassembly_misses, 1u);
 
-  // ...which the storage profile then reuses instead of re-sweeping.
-  const auto profile = cache.storage_profile(hash, code);
+  // ...which the storage layout (and the CFG it is built on) then reuses
+  // instead of re-sweeping.
+  const auto layout = cache.layout(hash, code);
   s = cache.stats();
-  EXPECT_EQ(s.profile_misses, 1u);
+  EXPECT_EQ(s.layout_misses, 1u);
   EXPECT_EQ(s.disassembly_misses, 1u);
-  EXPECT_EQ(s.disassembly_hits, 1u);
+  EXPECT_GE(s.disassembly_hits, 1u);
   EXPECT_EQ(s.entries, 1u);
 
   // Artifacts match the uncached computations exactly.
   EXPECT_EQ(*selectors, core::extract_selectors(code));
-  EXPECT_EQ(profile->accesses.size(), core::profile_storage(code).accesses.size());
+  EXPECT_EQ(*layout, static_analysis::infer_layout(evm::Disassembly(code)));
 }
 
 TEST(AnalysisCacheTest, DistinctHashesGetDistinctEntries) {

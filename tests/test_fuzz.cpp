@@ -10,7 +10,6 @@
 
 #include "core/proxy_detector.h"
 #include "core/selector_extractor.h"
-#include "core/storage_profile.h"
 #include "datagen/contract_factory.h"
 #include "evm/disassembler.h"
 #include "evm/host.h"
@@ -111,17 +110,21 @@ TEST_P(FuzzTest, ProxyDetectorTerminatesAndIsDeterministic) {
   }
 }
 
-TEST_P(FuzzTest, SelectorExtractorAndProfilerNeverCrash) {
+TEST_P(FuzzTest, SelectorExtractorAndLayoutNeverCrash) {
   std::mt19937_64 rng(GetParam());
   for (int i = 0; i < 200; ++i) {
     const Bytes code = opcode_soup(rng, 512);
     const auto selectors = core::extract_selectors(code);
     EXPECT_TRUE(std::is_sorted(selectors.begin(), selectors.end()));
-    const auto profile = core::profile_storage(code);
-    for (const auto& access : profile.accesses) {
-      EXPECT_GE(access.width, 1);
-      EXPECT_LE(access.width, 32);
-      EXPECT_LE(access.offset + access.width, 32);
+    const auto layout = static_analysis::infer_layout(evm::Disassembly(code));
+    for (const auto& m : layout.members) {
+      EXPECT_GE(m.width, 1);
+      EXPECT_LE(m.width, 32);
+      EXPECT_LE(m.offset + m.width, 32);
+    }
+    for (const auto& f : layout.families) {
+      EXPECT_GE(f.value_width, 1);
+      EXPECT_LE(f.value_offset + f.value_width, 32);
     }
   }
 }

@@ -1,8 +1,9 @@
 // Storage-layout inference (src/static/layout): static slots with packed
-// sub-word members, keccak-derived mapping/array slot families, guard and
-// provenance facts, the reliability contract, AnalysisCache memoization,
-// and the source-free family-collision mode's equivalence with the
-// declared-layout mode.
+// sub-word members (width inference from masks / CALLER comparisons,
+// caller-guard attribution, write-value provenance, range overlap),
+// keccak-derived mapping/array slot families, the reliability contract,
+// AnalysisCache memoization, and the source-free family-collision mode's
+// equivalence with the declared-layout mode.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +11,6 @@
 #include "chain/blockchain.h"
 #include "core/analysis_cache.h"
 #include "core/storage_collision.h"
-#include "core/storage_profile.h"
 #include "crypto/eth.h"
 #include "datagen/assembler.h"
 #include "datagen/contract_factory.h"
@@ -32,12 +32,31 @@ using evm::Bytes;
 using evm::Opcode;
 using evm::U256;
 using static_analysis::AbstractValue;
+using static_analysis::LayoutMember;
 using static_analysis::SlotFamily;
 using static_analysis::StorageLayout;
 using static_analysis::WriteOrigin;
 
 StorageLayout infer(const Bytes& code) {
   return static_analysis::infer_layout(evm::Disassembly(code));
+}
+
+/// The member with exactly this byte range on `slot`, or nullptr.
+const LayoutMember* member(const StorageLayout& layout, const U256& slot,
+                           std::uint8_t offset, std::uint8_t width) {
+  for (const LayoutMember& m : layout.members_at(slot)) {
+    if (m.offset == offset && m.width == width) return &m;
+  }
+  return nullptr;
+}
+
+LayoutMember view(std::uint64_t slot, std::uint8_t offset,
+                  std::uint8_t width) {
+  LayoutMember m;
+  m.slot = U256{slot};
+  m.offset = offset;
+  m.width = width;
+  return m;
 }
 
 const SlotFamily* mapping_family(const StorageLayout& layout,
@@ -98,6 +117,237 @@ TEST(LayoutInference, GuardFactsOnPackedWrite) {
   }
   EXPECT_TRUE(packed_write_unguarded) << layout.to_string();
   EXPECT_TRUE(address_caller_compared) << layout.to_string();
+}
+
+// ---------------------------------------------------------------------------
+// Typed views: widths from masks, CALLER comparisons and writes
+
+TEST(LayoutMembers, AddressReadWidthFromMask) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "owner()", .body = BodyKind::kReturnStorageAddress,
+        .slot = U256{0}}}));
+  const LayoutMember* m = member(layout, U256{0}, 0, 20);  // 2^160-1 mask
+  ASSERT_NE(m, nullptr) << layout.to_string();
+  EXPECT_TRUE(m->read);
+  EXPECT_FALSE(m->written);
+}
+
+TEST(LayoutMembers, BoolReadWidthFromByteMask) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "flag()", .body = BodyKind::kReturnStorageBool,
+        .slot = U256{0}}}));
+  ASSERT_EQ(layout.members_at(U256{0}).size(), 1u) << layout.to_string();
+  EXPECT_NE(member(layout, U256{0}, 0, 1), nullptr) << layout.to_string();
+}
+
+TEST(LayoutMembers, UnmaskedReadIsFullWidth) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "value()", .body = BodyKind::kReturnStorageWord,
+        .slot = U256{3}}}));
+  EXPECT_NE(member(layout, U256{3}, 0, 32), nullptr) << layout.to_string();
+}
+
+TEST(LayoutMembers, CallerWriteIsAddressWidthAndCallerOrigin) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "claim()", .body = BodyKind::kStoreCaller,
+        .slot = U256{7}}}));
+  const LayoutMember* m = member(layout, U256{7}, 0, 20);
+  ASSERT_NE(m, nullptr) << layout.to_string();
+  EXPECT_TRUE(m->written);
+  EXPECT_EQ(m->write_origin, WriteOrigin::kCaller);
+  EXPECT_TRUE(m->caller_written);
+  EXPECT_TRUE(m->sensitive());
+  EXPECT_TRUE(m->unguarded_write);
+}
+
+TEST(LayoutMembers, CallerWriteStaysSensitiveWhenWriteOriginsDisagree) {
+  // Two writes of one range, one CALLER-derived and one from calldata: the
+  // merged write_origin degrades to unknown, but the CALLER write must still
+  // make the range sensitive.
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "claim()", .body = BodyKind::kStoreCaller,
+        .slot = U256{7}},
+       {.prototype = "set(address)", .body = BodyKind::kStoreArgAddress,
+        .slot = U256{7}}}));
+  const LayoutMember* m = member(layout, U256{7}, 0, 20);
+  ASSERT_NE(m, nullptr) << layout.to_string();
+  EXPECT_EQ(m->write_origin, WriteOrigin::kUnknown);
+  EXPECT_TRUE(m->caller_written);
+  EXPECT_FALSE(m->caller_compared);
+  EXPECT_TRUE(m->sensitive());
+}
+
+TEST(LayoutMembers, MaskedArgWriteIsAddressWidth) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "set(address)", .body = BodyKind::kStoreArgAddress,
+        .slot = U256{2}}}));
+  const LayoutMember* m = member(layout, U256{2}, 0, 20);
+  ASSERT_NE(m, nullptr) << layout.to_string();
+  EXPECT_TRUE(m->written);
+  EXPECT_EQ(m->write_origin, WriteOrigin::kCalldata);
+  EXPECT_FALSE(m->sensitive());
+}
+
+TEST(LayoutMembers, GuardedWriteDetected) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "upgradeTo(address)",
+        .body = BodyKind::kGuardedStoreArgAddress, .slot = U256{1},
+        .aux = U256{0}}}));
+  // The owner slot read is caller-compared (sensitive)...
+  const LayoutMember* owner = member(layout, U256{0}, 0, 20);
+  ASSERT_NE(owner, nullptr) << layout.to_string();
+  EXPECT_TRUE(owner->caller_compared);
+  EXPECT_TRUE(owner->sensitive());
+  // ... and the write into the implementation slot is guarded.
+  const auto impl = layout.members_at(U256{1});
+  ASSERT_FALSE(impl.empty()) << layout.to_string();
+  for (const LayoutMember& m : impl) {
+    EXPECT_TRUE(m.written);
+    EXPECT_FALSE(m.unguarded_write);
+  }
+}
+
+TEST(LayoutMembers, AudiusLogicShowsTheBugSignature) {
+  const StorageLayout layout = infer(ContractFactory::audius_style_logic());
+  // Listing 2's signature: a 1-byte read of slot 0 plus an *unguarded*
+  // 20-byte caller write of the same slot.
+  const LayoutMember* flag = member(layout, U256{0}, 0, 1);
+  ASSERT_NE(flag, nullptr) << layout.to_string();
+  EXPECT_TRUE(flag->read);
+  const LayoutMember* owner = member(layout, U256{0}, 0, 20);
+  ASSERT_NE(owner, nullptr) << layout.to_string();
+  EXPECT_TRUE(owner->written);
+  EXPECT_TRUE(owner->unguarded_write);
+  EXPECT_EQ(owner->write_origin, WriteOrigin::kCaller);
+  EXPECT_TRUE(owner->sensitive());
+  EXPECT_TRUE(flag->overlaps(*owner));
+}
+
+TEST(LayoutMembers, AudiusProxyReadsSlotZeroAsAddress) {
+  const StorageLayout layout = infer(ContractFactory::audius_style_proxy());
+  const auto views = layout.members_at(U256{0});
+  ASSERT_FALSE(views.empty()) << layout.to_string();
+  for (const LayoutMember& m : views) {
+    EXPECT_EQ(m.width, 20) << layout.to_string();
+  }
+}
+
+TEST(LayoutMembers, MappingAccessesAreNotStaticSlots) {
+  // The facet lookup SLOADs a keccak-derived slot: it is a family, and it
+  // leaves no bogus concrete slot-0 member behind.
+  const StorageLayout layout = infer(ContractFactory::diamond_proxy());
+  EXPECT_FALSE(layout.families.empty()) << layout.to_string();
+  EXPECT_FALSE(layout.admits_slot(U256{})) << layout.to_string();
+}
+
+TEST(LayoutMembers, ProxyFallbackReadsImplSlotAsAddress) {
+  const StorageLayout layout = infer(ContractFactory::slot_proxy(U256{0}));
+  const LayoutMember* m = member(layout, U256{0}, 0, 20);
+  ASSERT_NE(m, nullptr) << layout.to_string();
+  EXPECT_TRUE(m->read);
+  EXPECT_FALSE(m->written);
+}
+
+TEST(LayoutMembers, Eip1967SlotIsConcreteHugeConstant) {
+  const StorageLayout layout = infer(ContractFactory::eip1967_proxy());
+  EXPECT_TRUE(layout.admits_slot(ContractFactory::eip1967_slot()))
+      << layout.to_string();
+}
+
+TEST(LayoutMembers, MembersAtGroupsViewsBySlot) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract({
+      {.prototype = "a()", .body = BodyKind::kReturnStorageBool,
+       .slot = U256{0}},
+      {.prototype = "b()", .body = BodyKind::kReturnStorageWord,
+       .slot = U256{1}},
+  }));
+  ASSERT_EQ(layout.members.size(), 2u) << layout.to_string();
+  ASSERT_EQ(layout.members_at(U256{0}).size(), 1u);
+  EXPECT_EQ(layout.members_at(U256{0})[0].width, 1);
+  ASSERT_EQ(layout.members_at(U256{1}).size(), 1u);
+  EXPECT_EQ(layout.members_at(U256{1})[0].width, 32);
+  EXPECT_TRUE(layout.members_at(U256{999}).empty());
+}
+
+TEST(LayoutMembers, PackedReadAtOffsetRecovered) {
+  // (sload(0) >> 8) & 0xff: the Listing-2 `initializing` flag at byte 1.
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "initializing()",
+        .body = BodyKind::kReturnStorageBoolAtOffset, .slot = U256{0},
+        .aux = U256{1}}}));
+  ASSERT_EQ(layout.members_at(U256{0}).size(), 1u) << layout.to_string();
+  EXPECT_NE(member(layout, U256{0}, 1, 1), nullptr) << layout.to_string();
+}
+
+TEST(LayoutMembers, OffsetZeroPackedReadIsPlainBool) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "flag()", .body = BodyKind::kReturnStorageBoolAtOffset,
+        .slot = U256{0}, .aux = U256{0}}}));
+  ASSERT_EQ(layout.members_at(U256{0}).size(), 1u) << layout.to_string();
+  EXPECT_NE(member(layout, U256{0}, 0, 1), nullptr) << layout.to_string();
+}
+
+TEST(LayoutMembers, DistinctViewsOfOneSlot) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract({
+      {.prototype = "a()", .body = BodyKind::kReturnStorageBool,
+       .slot = U256{0}},
+      {.prototype = "b()", .body = BodyKind::kReturnStorageBoolAtOffset,
+       .slot = U256{0}, .aux = U256{1}},
+      {.prototype = "c()", .body = BodyKind::kReturnStorageAddress,
+       .slot = U256{0}},
+  }));
+  // [0,1), [0,20) and [1,2), in (offset, width) order.
+  const auto views = layout.members_at(U256{0});
+  ASSERT_EQ(views.size(), 3u) << layout.to_string();
+  EXPECT_TRUE(views[0].same_range(view(0, 0, 1)));
+  EXPECT_TRUE(views[1].same_range(view(0, 0, 20)));
+  EXPECT_TRUE(views[2].same_range(view(0, 1, 1)));
+}
+
+TEST(LayoutMembers, RangeOverlapSemantics) {
+  const LayoutMember addr = view(0, 0, 20);          // bytes [0, 20)
+  const LayoutMember flag_inside = view(0, 1, 1);    // byte [1, 2)
+  const LayoutMember flag_outside = view(0, 20, 1);  // packs NEXT to addr
+  const LayoutMember other_slot = view(7, 1, 1);
+
+  EXPECT_TRUE(addr.overlaps(flag_inside));
+  EXPECT_TRUE(flag_inside.overlaps(addr));
+  EXPECT_FALSE(addr.overlaps(flag_outside));
+  EXPECT_FALSE(addr.overlaps(other_slot));
+  EXPECT_FALSE(addr.same_range(flag_inside));
+  EXPECT_TRUE(addr.same_range(addr));
+}
+
+TEST(LayoutMembers, PackedWriteIdiomRecovered) {
+  // sstore(slot, (sload & ~(0xff<<8)) | (1<<8)): a bool write at byte 1.
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "setInitializing()",
+        .body = BodyKind::kStoreBoolPackedAt, .slot = U256{0},
+        .aux = U256{1}}}));
+  // The RMW's carrier read is refined to the written range, not 32 bytes,
+  // so the slot has exactly one view.
+  ASSERT_EQ(layout.members_at(U256{0}).size(), 1u) << layout.to_string();
+  const LayoutMember* m = member(layout, U256{0}, 1, 1);
+  ASSERT_NE(m, nullptr) << layout.to_string();
+  EXPECT_TRUE(m->read);
+  EXPECT_TRUE(m->written);
+  EXPECT_EQ(m->write_origin, WriteOrigin::kConstant);
+}
+
+TEST(LayoutMembers, PackedWriteAtOffsetZero) {
+  const StorageLayout layout = infer(ContractFactory::plain_contract(
+      {{.prototype = "setFlag()", .body = BodyKind::kStoreBoolPackedAt,
+        .slot = U256{3}, .aux = U256{0}}}));
+  const LayoutMember* m = member(layout, U256{3}, 0, 1);
+  ASSERT_NE(m, nullptr) << layout.to_string();
+  EXPECT_TRUE(m->written);
+}
+
+TEST(LayoutMembers, PackedWriteCompatibilityInCollisionTerms) {
+  // A packed bool write at byte 20 does NOT overlap an address at [0,20).
+  LayoutMember packed = view(0, 20, 1);
+  packed.written = true;
+  EXPECT_FALSE(view(0, 0, 20).overlaps(packed));
 }
 
 // ---------------------------------------------------------------------------
@@ -171,10 +421,10 @@ TEST(LayoutInference, EmptyCodeIsReliablyEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1 regression: a packed address read typed by a CALLER compare
-// must carry the SHR-derived byte offset, not claim bytes [0, 20).
+// Regressions: a packed address read typed by a CALLER compare must carry the
+// SHR-derived byte offset, not claim bytes [0, 20).
 
-TEST(StorageProfileRegression, ShiftedCallerCompareKeepsPackedOffset) {
+TEST(LayoutRegression, ShiftedCallerCompareKeepsPackedOffset) {
   // if (address(uint160(sload(0) >> 64)) == msg.sender) { sstore(1, 1) }
   Assembler a;
   a.push(U256{0}, 1).op(Opcode::SLOAD);
@@ -184,39 +434,22 @@ TEST(StorageProfileRegression, ShiftedCallerCompareKeepsPackedOffset) {
   a.push(U256{0}, 1).push(U256{0}, 1).op(Opcode::REVERT);
   a.jumpdest("ok");
   a.push(U256{1}, 1).push(U256{1}, 1).op(Opcode::SSTORE).op(Opcode::STOP);
-  const Bytes code = a.assemble();
+  const StorageLayout layout = infer(a.assemble());
 
-  const core::StorageProfile profile =
-      core::profile_storage(evm::Disassembly(code));
-  bool found = false;
-  for (const auto& acc : profile.accesses) {
-    if (acc.slot == U256{0} && !acc.is_write && acc.caller_compared) {
-      EXPECT_EQ(acc.offset, 8u);   // 64 bits = 8 bytes up
-      EXPECT_EQ(acc.width, 20u);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-
-  // The inferred layout carries the same refined view.
-  const StorageLayout layout = infer(code);
-  bool member_found = false;
-  for (const auto& m : layout.members) {
-    if (m.slot == U256{0} && m.offset == 8 && m.width == 20 &&
-        m.caller_compared) {
-      member_found = true;
-    }
-  }
-  EXPECT_TRUE(member_found) << layout.to_string();
+  // 64 bits = 8 bytes up; the slot has no other view.
+  ASSERT_EQ(layout.members_at(U256{0}).size(), 1u) << layout.to_string();
+  const LayoutMember* m = member(layout, U256{0}, 8, 20);
+  ASSERT_NE(m, nullptr) << layout.to_string();
+  EXPECT_TRUE(m->caller_compared);
 }
 
-TEST(StorageProfileRegression, FullWordReadOverlapsEveryPackedMember) {
+TEST(LayoutRegression, FullWordReadOverlapsEveryPackedMember) {
   // An unmasked 32-byte read must overlap both a low-packed bool and a
   // high-packed address — the misleading-offset bug reported overlap with
   // only one of them.
-  core::StorageAccess whole{.slot = U256{0}, .width = 32, .offset = 0};
-  core::StorageAccess low_bool{.slot = U256{0}, .width = 1, .offset = 0};
-  core::StorageAccess high_addr{.slot = U256{0}, .width = 20, .offset = 12};
+  const LayoutMember whole = view(0, 0, 32);
+  const LayoutMember low_bool = view(0, 0, 1);
+  const LayoutMember high_addr = view(0, 12, 20);
   EXPECT_TRUE(whole.overlaps(low_bool));
   EXPECT_TRUE(whole.overlaps(high_addr));
   EXPECT_FALSE(low_bool.overlaps(high_addr));
