@@ -41,17 +41,18 @@ CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config, Clock clock)
 }
 
 bool CircuitBreaker::allow() {
+  if (state_.load(std::memory_order_relaxed) == State::kClosed) return true;
   bool transitioned = false;
   bool admit = true;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    switch (state_) {
+    switch (state_.load(std::memory_order_relaxed)) {
       case State::kClosed:
         admit = true;
         break;
       case State::kOpen:
         if (clock_() >= reopen_at_us_) {
-          state_ = State::kHalfOpen;
+          state_.store(State::kHalfOpen, std::memory_order_relaxed);
           probe_in_flight_ = true;
           transitioned = true;
           admit = true;
@@ -74,13 +75,18 @@ bool CircuitBreaker::allow() {
 }
 
 void CircuitBreaker::on_success() {
+  // Nothing to record: already closed with no failure streak to clear.
+  if (state_.load(std::memory_order_relaxed) == State::kClosed &&
+      consecutive_failures_.load(std::memory_order_relaxed) == 0) {
+    return;
+  }
   bool transitioned;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    transitioned = state_ != State::kClosed;
-    consecutive_failures_ = 0;
+    transitioned = state_.load(std::memory_order_relaxed) != State::kClosed;
+    consecutive_failures_.store(0, std::memory_order_relaxed);
     probe_in_flight_ = false;
-    state_ = State::kClosed;
+    state_.store(State::kClosed, std::memory_order_relaxed);
   }
   if (transitioned) notify(State::kClosed);
 }
@@ -89,12 +95,15 @@ void CircuitBreaker::on_failure() {
   bool tripped = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ++consecutive_failures_;
-    if (state_ == State::kHalfOpen) {
+    const unsigned failures =
+        consecutive_failures_.load(std::memory_order_relaxed) + 1;
+    consecutive_failures_.store(failures, std::memory_order_relaxed);
+    const State state = state_.load(std::memory_order_relaxed);
+    if (state == State::kHalfOpen) {
       trip_locked(clock_());
       tripped = true;
-    } else if (state_ == State::kClosed &&
-               consecutive_failures_ >= config_.failure_threshold) {
+    } else if (state == State::kClosed &&
+               failures >= config_.failure_threshold) {
       trip_locked(clock_());
       tripped = true;
     }
@@ -106,25 +115,24 @@ void CircuitBreaker::reset() {
   bool transitioned;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    transitioned = state_ != State::kClosed;
-    state_ = State::kClosed;
-    consecutive_failures_ = 0;
+    transitioned = state_.load(std::memory_order_relaxed) != State::kClosed;
+    state_.store(State::kClosed, std::memory_order_relaxed);
+    consecutive_failures_.store(0, std::memory_order_relaxed);
     probe_in_flight_ = false;
   }
   if (transitioned) notify(State::kClosed);
 }
 
 void CircuitBreaker::trip_locked(std::uint64_t now) {
-  state_ = State::kOpen;
+  state_.store(State::kOpen, std::memory_order_relaxed);
   reopen_at_us_ = now + config_.cooldown_us;
   probe_in_flight_ = false;
-  consecutive_failures_ = 0;
+  consecutive_failures_.store(0, std::memory_order_relaxed);
   trips_.fetch_add(1, std::memory_order_relaxed);
 }
 
 CircuitBreaker::State CircuitBreaker::state() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return state_;
+  return state_.load(std::memory_order_relaxed);
 }
 
 void Watchdog::check(const char* where) const {

@@ -55,7 +55,11 @@ struct CircuitBreakerConfig {
 };
 
 /// Classic three-state breaker. Thread-safe; the clock is injectable so the
-/// open -> half-open transition is testable without sleeping.
+/// open -> half-open transition is testable without sleeping. On the healthy
+/// path — closed, no failure streak — allow() and on_success() are relaxed
+/// atomic loads that write nothing shared; the lock is taken only on a
+/// failure or a state transition, so concurrent callers never serialize on a
+/// healthy backend.
 class CircuitBreaker {
  public:
   enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
@@ -102,11 +106,12 @@ class CircuitBreaker {
   CircuitBreakerConfig config_;
   Clock clock_;
   StateListener listener_;
-  mutable std::mutex mu_;
-  State state_ = State::kClosed;
-  unsigned consecutive_failures_ = 0;
-  bool probe_in_flight_ = false;
-  std::uint64_t reopen_at_us_ = 0;
+  std::mutex mu_;
+  /// Written only under mu_; read lock-free by the healthy fast path.
+  std::atomic<State> state_{State::kClosed};
+  std::atomic<unsigned> consecutive_failures_{0};
+  bool probe_in_flight_ = false;  // guarded by mu_
+  std::uint64_t reopen_at_us_ = 0;  // guarded by mu_
   std::atomic<std::uint64_t> trips_{0};
 };
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "chain/archive_node.h"
@@ -148,6 +150,49 @@ TEST(CircuitBreakerTest, FailedProbeReopensAndResetCloses) {
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   EXPECT_TRUE(breaker.allow());
   EXPECT_EQ(breaker.trips(), 2u);  // history preserved
+}
+
+TEST(CircuitBreakerTest, ConcurrentAllowOnHalfOpenAdmitsExactlyOneProbe) {
+  FakeClock clock;
+  CircuitBreakerConfig cfg;
+  cfg.failure_threshold = 1;
+  cfg.cooldown_us = 100;
+  CircuitBreaker breaker(cfg, clock.fn());
+  ASSERT_TRUE(breaker.allow());
+  breaker.on_failure();
+  clock.now_us = 100;  // cooldown over: the next allow() half-opens
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      if (breaker.allow()) admitted.fetch_add(1);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(admitted.load(), 1);
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
+}
+
+TEST(CircuitBreakerTest, ConcurrentHealthyTrafficStaysClosed) {
+  CircuitBreaker breaker;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 10'000; ++i) {
+        ASSERT_TRUE(breaker.allow());
+        breaker.on_success();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(breaker.trips(), 0u);
 }
 
 TEST(WatchdogTest, ZeroBudgetNeverExpiresAndTinyBudgetThrows) {
