@@ -2,14 +2,14 @@
 // cost of the primitives (counter add, histogram record, disabled span = one
 // null-pointer branch), and the macro section sweeps the bench population
 // four ways — telemetry off, histograms on (the default), full span
-// tracing with export, and 1-in-8 sampled tracing — reporting the relative
-// overhead and dumping the registry snapshot of the traced sweep into
-// BENCH_results.json.
-// The introspection-plane leg measures the serving-mode configuration —
-// background exporter + structured event log + live span ring — against the
-// default, gating the "observability is nearly free" claim (<= 2% wall).
-// The coarse-clock leg re-measures full tracing after the tracing-tax shave
-// (interned span names, TLS-cached coarse clock) against its <= 15% budget.
+// tracing with export, and full span tracing into the live ring with no
+// file export (the serving-mode tracer, held to a <= 15% budget) —
+// reporting the relative overhead and dumping the registry snapshot of the
+// traced sweep into BENCH_results.json.
+// The introspection-plane leg adds the rest of the serving-mode
+// configuration — background exporter + structured event log — on top of
+// the live-ring leg, gating the "observability is nearly free" claim
+// (<= 2% wall).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -77,18 +77,6 @@ void BM_EnabledSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_EnabledSpan);
 
-void BM_EnabledSpanCoarse(benchmark::State& state) {
-  // The shaved hot path: interned name lookup hits the TLS cache and the
-  // coarse clock amortizes the steady_clock read over kCoarseRefresh spans.
-  obs::Tracer tracer;
-  tracer.set_coarse_clock(true);
-  for (auto _ : state) {
-    obs::Span span(&tracer, "work");
-  }
-  benchmark::DoNotOptimize(tracer.recorded());
-}
-BENCHMARK(BM_EnabledSpanCoarse);
-
 void BM_ExporterTickAndRender(benchmark::State& state) {
   // One scrape's worth of work against a realistically-populated registry.
   obs::Registry reg;
@@ -129,7 +117,6 @@ double timed_sweep_with_plane() {
   obs::SweepStatus status;
   core::PipelineConfig config;
   config.telemetry.live_spans = true;
-  config.telemetry.coarse_clock = true;
   config.telemetry.event_log = &event_log;
   config.telemetry.status = &status;
   core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
@@ -156,32 +143,21 @@ void macro_section() {
   core::PipelineConfig traced;
   traced.telemetry.trace_path = BenchResults::path() + ".trace.json";
 
-  // Full tracing after the tracing-tax shave: interned span names, the
-  // TLS-cached coarse clock, and the live span ring (drained over /spans)
-  // instead of a post-run trace file. Every span is still recorded — only
-  // the per-span bookkeeping cost and the one-off file serialization
-  // differ. This is the serving-mode configuration and the <= 15% budget
-  // leg; the `traced` leg keeps file export for continuity with the seed
-  // measurement.
-  core::PipelineConfig coarse;
-  coarse.telemetry.live_spans = true;
-  coarse.telemetry.coarse_clock = true;
-
-  // Sampled tracing: 1-in-8 spans kept. Sampled-out spans skip the clock
-  // read and argument formatting entirely, so this leg measures how close
-  // sampling brings full tracing back to the histograms-only cost.
-  core::PipelineConfig sampled = traced;
-  sampled.telemetry.trace_path = BenchResults::path() + ".trace_sampled.json";
-  sampled.telemetry.span_sample_every_n = 8;
+  // Full tracing into the live span ring (drained over /spans) instead of a
+  // post-run trace file: every span is recorded with exact timestamps, and
+  // only the one-off file serialization differs from the `traced` leg. This
+  // is the serving-mode tracer and the <= 15% budget leg; the `traced` leg
+  // keeps file export for continuity with the first measurement.
+  core::PipelineConfig live;
+  live.telemetry.live_spans = true;
 
   // Three reps, legs INTERLEAVED round-robin and a per-leg minimum:
   // overhead ratios in the low-single-digit-percent range drown in
   // machine-load drift if each leg's reps run back to back (the drift then
   // lands on whole legs instead of averaging out), and the minimum is the
   // least-noisy estimator of true cost on a shared machine.
-  core::LandscapeStats on_stats, traced_stats, sampled_stats;
-  double off_ms = 0, on_ms = 0, traced_ms = 0, coarse_ms = 0, sampled_ms = 0,
-         plane_ms = 0;
+  core::LandscapeStats on_stats, traced_stats;
+  double off_ms = 0, on_ms = 0, traced_ms = 0, live_ms = 0, plane_ms = 0;
   for (int rep = 0; rep < 3; ++rep) {
     const bool first = rep == 0;
     auto keep = [first](double& best, double ms) {
@@ -191,19 +167,18 @@ void macro_section() {
     keep(on_ms, timed_sweep(core::PipelineConfig{},
                             first ? &on_stats : nullptr));
     keep(traced_ms, timed_sweep(traced, first ? &traced_stats : nullptr));
-    keep(coarse_ms, timed_sweep(coarse));
-    keep(sampled_ms, timed_sweep(sampled, first ? &sampled_stats : nullptr));
+    keep(live_ms, timed_sweep(live));
     // The live introspection plane (exporter + event log + status
     // publishing) added on top of the identical live-ring tracing config —
-    // the delta against the coarse leg isolates exactly what serving costs.
+    // the delta against the live-ring leg isolates exactly what serving
+    // costs.
     keep(plane_ms, timed_sweep_with_plane());
   }
 
   const double on_overhead = 100.0 * (on_ms - off_ms) / off_ms;
   const double traced_overhead = 100.0 * (traced_ms - off_ms) / off_ms;
-  const double coarse_overhead = 100.0 * (coarse_ms - off_ms) / off_ms;
-  const double sampled_overhead = 100.0 * (sampled_ms - off_ms) / off_ms;
-  const double plane_overhead = 100.0 * (plane_ms - coarse_ms) / coarse_ms;
+  const double live_overhead = 100.0 * (live_ms - off_ms) / off_ms;
+  const double plane_overhead = 100.0 * (plane_ms - live_ms) / live_ms;
 
   heading("sweep overhead: telemetry off vs histograms vs full tracing");
   row("telemetry OFF", fmt(off_ms, " ms"));
@@ -211,14 +186,10 @@ void macro_section() {
   row("  overhead vs OFF", fmt(on_overhead, "%"));
   row("span tracing + export", fmt(traced_ms, " ms"));
   row("  overhead vs OFF", fmt(traced_overhead, "%"));
-  row("span tracing, coarse clock, live ring", fmt(coarse_ms, " ms"));
-  row("  overhead vs OFF (<=15% budget)", fmt(coarse_overhead, "%"));
-  row("span tracing, 1-in-8 sampled", fmt(sampled_ms, " ms"));
-  row("  overhead vs OFF", fmt(sampled_overhead, "%"));
+  row("span tracing, live ring", fmt(live_ms, " ms"));
+  row("  overhead vs OFF (<=15% budget)", fmt(live_overhead, "%"));
   row("introspection plane live", fmt(plane_ms, " ms"));
   row("  overhead vs live-ring leg (<=2% budget)", fmt(plane_overhead, "%"));
-  row("spans recorded (sampled sweep)",
-      std::to_string(sampled_stats.trace_spans_recorded));
   row("spans recorded (traced sweep)",
       std::to_string(traced_stats.trace_spans_recorded) + " (" +
           std::to_string(traced_stats.trace_spans_dropped) + " dropped)");
@@ -234,14 +205,10 @@ void macro_section() {
   results.set("sweep_tracing_ms", traced_ms);
   results.set("histogram_overhead_pct", on_overhead);
   results.set("tracing_overhead_pct", traced_overhead);
-  results.set("sweep_tracing_coarse_ms", coarse_ms);
-  results.set("tracing_coarse_overhead_pct", coarse_overhead);
-  results.set("sweep_tracing_sampled_ms", sampled_ms);
-  results.set("tracing_sampled_overhead_pct", sampled_overhead);
+  results.set("sweep_tracing_live_ms", live_ms);
+  results.set("tracing_live_overhead_pct", live_overhead);
   results.set("sweep_plane_ms", plane_ms);
   results.set("plane_overhead_pct", plane_overhead);
-  results.set("trace_spans_recorded_sampled",
-              static_cast<double>(sampled_stats.trace_spans_recorded));
   results.set("trace_spans_recorded",
               static_cast<double>(traced_stats.trace_spans_recorded));
   results.set("trace_spans_dropped",

@@ -240,7 +240,6 @@ int serve_loop(const Options& opt, datagen::Population& pop) {
   // No trace file in serving mode — spans are drained live over /spans
   // instead of rewritten to disk after every sweep.
   config.telemetry.live_spans = true;
-  config.telemetry.coarse_clock = true;
   config.telemetry.event_log = &event_log;
   config.telemetry.status = &status;
   core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
@@ -329,7 +328,6 @@ int follow_loop(const Options& opt, datagen::Population& pop) {
 
   core::PipelineConfig config;
   config.telemetry.live_spans = true;
-  config.telemetry.coarse_clock = true;
   config.telemetry.event_log = &event_log;
   config.telemetry.status = &status;
   core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);

@@ -15,6 +15,10 @@ namespace proxion::core {
 
 namespace {
 
+/// Lock stripes of every striped memo the pipeline owns (analysis cache,
+/// verdict/pair/blob once-maps) and of the coalescer's tables.
+constexpr unsigned kShards = 16;
+
 /// Debug-mode enforcement of the external-serialization contract: entering
 /// run()/resume()/summarize() while another is in flight on the same
 /// pipeline trips the assert. Release builds compile this to nothing.
@@ -151,12 +155,7 @@ AnalysisPipeline::AnalysisPipeline(chain::Blockchain& chain,
     if (!config_.telemetry.trace_path.empty() ||
         !config_.telemetry.events_path.empty() ||
         config_.telemetry.live_spans) {
-      tracer_ = std::make_unique<obs::Tracer>(
-          clock_, config_.telemetry.trace_ring_capacity);
-      const std::size_t every = config_.telemetry.span_sample_every_n;
-      tracer_->set_sample_every(
-          static_cast<std::uint32_t>(every == 0 ? 1 : every));
-      tracer_->set_coarse_clock(config_.telemetry.coarse_clock);
+      tracer_ = std::make_unique<obs::Tracer>(clock_);
     }
   }
 
@@ -207,19 +206,15 @@ AnalysisPipeline::AnalysisPipeline(chain::Blockchain& chain,
     }
   }
   if (config_.coalesce_archive_reads) {
-    coalescer_ = std::make_unique<chain::CoalescingArchiveNode>(
-        *wire, config_.coalescer_shards == 0 ? 1 : config_.coalescer_shards);
+    coalescer_ = std::make_unique<chain::CoalescingArchiveNode>(*wire, kShards);
   }
-  const unsigned shards = config_.cache_shards == 0 ? 1 : config_.cache_shards;
   if (config_.use_analysis_cache) {
-    cache_ = std::make_unique<AnalysisCache>(shards);
+    cache_ = std::make_unique<AnalysisCache>(kShards);
     if (config_.dedup_by_code_hash) {
       verdict_cache_ =
-          std::make_unique<StripedOnceMap<std::string, ProxyReport>>(shards);
+          std::make_unique<StripedOnceMap<std::string, ProxyReport>>(kShards);
     }
-  }
-  if (config_.use_analysis_cache) {
-    blob_cache_ = std::make_unique<CodeBlobMap>(shards);
+    blob_cache_ = std::make_unique<CodeBlobMap>(kShards);
   }
 }
 
@@ -306,13 +301,6 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
     h_steps_->reset();
   }
   if (tracer_) tracer_->clear();
-  // Per-contract span sampling: histograms always see every sample, only
-  // the trace timeline is thinned.
-  const std::size_t every_n = config_.telemetry.sample_every_n;
-  auto span_tracer = [&](std::size_t i) -> obs::Tracer* {
-    if (!tracer_) return nullptr;
-    return (every_n <= 1 || i % every_n == 0) ? tracer_.get() : nullptr;
-  };
 
   // The pair memo never outlives a run, with or without the analysis cache:
   // a PairOutcome depends on run-local state — the §7.1 donor map is built
@@ -320,8 +308,8 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   // result that a fresh computation would no longer produce. Only the pure
   // per-bytecode artifacts (AnalysisCache), the immutable code blobs, and
   // the address-keyed proxy verdicts persist across runs.
-  pair_cache_ = std::make_unique<StripedOnceMap<std::string, PairOutcome>>(
-      config_.cache_shards == 0 ? 1 : config_.cache_shards);
+  pair_cache_ =
+      std::make_unique<StripedOnceMap<std::string, PairOutcome>>(kShards);
 
   std::vector<ContractAnalysis> out(inputs.size());
 
@@ -332,8 +320,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   // warm sweep skips this phase's work). A failed fetch quarantines only its
   // own contract: the once-map clears the in-flight marker on throw, so a
   // later retry (or resume pass) recomputes instead of caching the failure.
-  CodeBlobMap run_local_blobs(config_.cache_shards == 0 ? 1
-                                                        : config_.cache_shards);
+  CodeBlobMap run_local_blobs(kShards);
   CodeBlobMap& blob_map = blob_cache_ ? *blob_cache_ : run_local_blobs;
   // `timing` non-null = time the get_code on the wall and thread CPU clocks
   // (the fetch phase's first wave, which decides the fan-out below).
@@ -436,8 +423,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   // defined over the whole population, so the driver precomputes the global
   // map once and injects it here.
   std::unordered_map<std::string, Address> run_local_donor;
-  if (donor_overlay_.empty() && config_.propagate_source_by_code_hash &&
-      sources_ != nullptr) {
+  if (donor_overlay_.empty() && sources_ != nullptr) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (!blobs[i]) continue;
       if (sources_->has_source(inputs[i].address)) {
@@ -446,9 +432,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
     }
   }
   const std::unordered_map<std::string, Address>& source_donor =
-      (config_.propagate_source_by_code_hash && !donor_overlay_.empty())
-          ? donor_overlay_
-          : run_local_donor;
+      donor_overlay_.empty() ? run_local_donor : donor_overlay_;
   auto with_source_donor = [&](const std::string& hash,
                                const Address& original) {
     if (sources_ != nullptr && sources_->has_source(original)) {
@@ -483,14 +467,14 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
     obs::Span phase_span(tracer_.get(), "phase:proxy");
     workers.parallel_for(unique_indices.size(), [&](std::size_t u) {
       const std::size_t i = unique_indices[u];
-      obs::Span contract_span(span_tracer(i), "contract");
+      obs::Span contract_span(tracer_.get(), "contract");
       contract_span.arg("index", static_cast<std::int64_t>(i));
       try {
         auto analyze = [&] {
           // Spanned inside the verdict memo: a cross-run cache hit reuses
           // the verdict without emulating, so it rightly shows no
           // proxy-detect span.
-          obs::Span detect_span(span_tracer(i), "proxy-detect");
+          obs::Span detect_span(tracer_.get(), "proxy-detect");
           ProxyDetectorConfig detector_config;
           detector_config.step_limit = config_.emulation_step_limit;
           detector_config.static_tier = config_.static_tier;
@@ -570,7 +554,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
       // lambda so its early returns still land on the record below.
       const std::uint64_t t0 = h_contract_ != nullptr ? clock_() : 0;
       {
-        obs::Span contract_span(span_tracer(i), "contract");
+        obs::Span contract_span(tracer_.get(), "contract");
         contract_span.arg("index", static_cast<std::int64_t>(i));
         [&] {
           a.address = inputs[i].address;
@@ -615,7 +599,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
 
             watchdog.check("logic-history");
             if (config_.find_logic_history) {
-              obs::Span logic_span(span_tracer(i), "logic-search");
+              obs::Span logic_span(tracer_.get(), "logic-search");
               LogicFinder finder(rpc());
               a.logic_history = finder.find(a.address, a.proxy);
             } else if (!a.proxy.logic_address.is_zero()) {
@@ -637,7 +621,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
                     // Spanned inside the pair memo: a hit reuses the outcome
                     // without running the detectors, so it shows no
                     // collision-check span.
-                    obs::Span pair_span(span_tracer(i), "collision-check");
+                    obs::Span pair_span(tracer_.get(), "collision-check");
                     PairOutcome o;
                     FunctionCollisionDetector fn_detector(sources_,
                                                           cache_.get());

@@ -116,8 +116,9 @@ struct ContractAnalysis {
 /// Telemetry knobs for one pipeline. Latency histograms are on by default —
 /// their hot-path cost is a few relaxed atomic ops per contract/RPC and the
 /// default landscape report prints the percentile section from them. Span
-/// tracing only activates when an export path is set: rings cost memory per
-/// recording thread, and a trace nobody writes out observes nothing.
+/// tracing only activates when an export path is set or live_spans is on:
+/// rings cost memory per recording thread, and a trace nobody reads
+/// observes nothing. Every span is kept, with exact timestamps.
 struct TelemetryConfig {
   /// Master switch. Off, every instrumentation point in the pipeline reduces
   /// to a null-pointer branch (measured by bench_telemetry_overhead); the
@@ -128,19 +129,6 @@ struct TelemetryConfig {
   std::string trace_path;
   /// NDJSON span log (one JSON object per line), same gating as trace_path.
   std::string events_path;
-  /// Record per-contract spans only for every n-th sweep index (1 = all).
-  /// Histograms are never sampled — percentiles stay exact over the
-  /// population; sampling only thins the trace timeline.
-  std::size_t sample_every_n = 1;
-  /// Tracer-level span sampling: keep only every n-th span per recording
-  /// thread (1 = all, the default). Unlike sample_every_n (which selects
-  /// whole contracts), this thins every span family — phases, per-contract,
-  /// and rpc:* spans — and the sampled-out spans skip clock reads and
-  /// argument formatting entirely (the PR-3 tracing-overhead fix). The
-  /// first span per thread is always kept.
-  std::size_t span_sample_every_n = 1;
-  /// Completed spans retained per recording thread before the ring wraps.
-  std::size_t trace_ring_capacity = 1 << 15;
   /// Monotonic nanosecond clock for spans and latency stopwatches; empty =
   /// std::chrono::steady_clock. Tests inject a fake for deterministic
   /// traces (the PR-2 testable-time convention).
@@ -148,12 +136,6 @@ struct TelemetryConfig {
   /// Keep the span tracer alive without any file export, so a live /spans
   /// endpoint can drain the rings mid-run (the introspection plane's use).
   bool live_spans = false;
-  /// Span timestamps from a TLS-cached coarse clock: one real clock read
-  /// amortized over ~32 spans instead of two per span. The cheap-tracing
-  /// mode for always-on serving; timestamps stay monotonic per thread but
-  /// gain up to ~32-span granularity. Only affects the default steady
-  /// clock; an injected `clock` stays exact.
-  bool coarse_clock = false;
   /// Structured event sink (borrowed; must outlive the pipeline). When set,
   /// operational events — run start/end, quarantines, breaker transitions —
   /// are emitted here instead of being invisible. Null = no events.
@@ -169,10 +151,6 @@ struct PipelineConfig {
   bool dedup_by_code_hash = true;   // §6.1's re-analysis avoidance
   bool detect_collisions = true;
   bool find_logic_history = true;
-  /// §7.1: "we assign the source code of a contract to all other contracts
-  /// with the same bytecode hash" — lets clones of one verified contract be
-  /// analyzed in source mode.
-  bool propagate_source_by_code_hash = true;
   /// Re-probe DELEGATECALL-bearing non-proxies with tx-harvested selectors
   /// to catch EIP-2535 diamonds (§8.2 future work, implemented).
   bool probe_diamonds = false;
@@ -185,8 +163,6 @@ struct PipelineConfig {
   /// either way; off reproduces the seed's recompute-everything behavior
   /// for ablations.
   bool use_analysis_cache = true;
-  /// Lock stripes for the analysis/pair caches (clamped to >= 1).
-  unsigned cache_shards = 16;
 
   // ---- fault tolerance --------------------------------------------------
   /// External archive backend (a FaultInjectingArchiveNode in tests, a real
@@ -203,8 +179,6 @@ struct PipelineConfig {
   /// bit-identical either way (tested); off reproduces the raw probe volume
   /// for ablations. The cache is dropped by shed_cross_run_state().
   bool coalesce_archive_reads = true;
-  /// Lock shards of the coalescer's slot-timeline cache (clamped to >= 1).
-  unsigned coalescer_shards = 16;
   /// The most archive requests in flight — set it to the provider's
   /// concurrency cap. A worker thread blocks on each archive call, so on a
   /// remote archive the `threads` CPU workers leave the sweep asleep. When a

@@ -75,10 +75,6 @@ void EventLog::emit(Severity severity, std::string_view component,
   e.correlation.assign(correlation);
 
   std::lock_guard<std::mutex> lk(mu_);
-  if (severity < config_.min_severity) {
-    ++suppressed_;
-    return;
-  }
   e.seq = written_;
   if (sink_) {
     const std::string line = render_ndjson_line(e);
@@ -87,13 +83,6 @@ void EventLog::emit(Severity severity, std::string_view component,
     // Events are rare and operationally load-bearing (a crash right after a
     // degraded-mode entry must leave the event on disk): flush per line.
     std::fflush(sink_.get());
-  }
-  if (config_.mirror_stderr) {
-    std::fprintf(stderr, "proxion[%s] %s: %.*s%s%.*s\n",
-                 std::string(to_string(e.severity)).c_str(),
-                 e.component.c_str(), static_cast<int>(e.message.size()),
-                 e.message.data(), e.correlation.empty() ? "" : " ",
-                 static_cast<int>(e.correlation.size()), e.correlation.data());
   }
   if (ring_.size() < config_.ring_capacity) {
     ring_.push_back(std::move(e));
@@ -133,11 +122,6 @@ std::uint64_t EventLog::overwritten() const noexcept {
   std::lock_guard<std::mutex> lk(mu_);
   return written_ > config_.ring_capacity ? written_ - config_.ring_capacity
                                           : 0;
-}
-
-std::uint64_t EventLog::suppressed() const noexcept {
-  std::lock_guard<std::mutex> lk(mu_);
-  return suppressed_;
 }
 
 std::string EventLog::render_ndjson_line(const Event& event) {

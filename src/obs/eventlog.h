@@ -6,8 +6,7 @@
 // correlation id (contract address, shard index) so events about one unit
 // of work can be grepped together. This replaces the ad-hoc
 // `std::fprintf(stderr, ...)` progress lines the pipeline and durable sweep
-// accumulated: call sites emit here when a log is wired, and the log can
-// mirror to stderr for interactive runs.
+// accumulated: call sites emit here when a log is wired.
 //
 // Events are rare by design (nothing per-contract on the happy path), so
 // emit() takes a mutex; it is safe from any thread. The log keeps a bounded
@@ -60,11 +59,6 @@ struct EventLogConfig {
   /// NDJSON file sink, one line appended (and flushed) per event; empty =
   /// in-memory only.
   std::string path;
-  /// Also write each event as a human-readable line to stderr — the
-  /// interactive-run replacement for the old fprintf progress lines.
-  bool mirror_stderr = false;
-  /// Events below this severity are dropped at emit (counted, not stored).
-  Severity min_severity = Severity::kDebug;
   /// Monotonic ns clock; empty = steady_clock. Tests inject fakes for
   /// byte-deterministic NDJSON.
   TraceClock clock;
@@ -91,7 +85,6 @@ class EventLog {
 
   std::uint64_t emitted() const noexcept;    // accepted into the ring
   std::uint64_t overwritten() const noexcept;  // evicted by ring wrap
-  std::uint64_t suppressed() const noexcept;   // below min_severity
 
   /// One event as its NDJSON line (no trailing newline). Deterministic.
   static std::string render_ndjson_line(const Event& event);
@@ -103,7 +96,6 @@ class EventLog {
   mutable std::mutex mu_;
   std::vector<Event> ring_;     // ring storage, capacity-bounded
   std::uint64_t written_ = 0;   // total events ever accepted
-  std::uint64_t suppressed_ = 0;
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> sink_;
 };
 

@@ -4,7 +4,7 @@
 // line-delimited NDJSON event log for ad-hoc tooling and the live /spans
 // endpoint.
 //
-// Hot-path design (the PR-3 tracing tax, shaved):
+// Hot-path design:
 //   - span NAMES are interned once into a process-wide id table; a ring slot
 //     stores a 16-bit id, never a pointer copy per export and never a
 //     per-span std::string. The intern lookup is a TLS direct-mapped
@@ -15,17 +15,11 @@
 //     bulk readers (spans(), ndjson(), the /spans drain) safe to run WHILE
 //     other threads record — a reader snapshots the window and drops any
 //     record the writer may have been overwriting during the copy.
-//   - the CLOCK has a branch-free-ish fast path: the default steady clock is
-//     called directly (no std::function indirection), and set_coarse_clock()
-//     switches span timestamps to a TLS-cached value refreshed every
-//     kCoarseRefresh reads — one real clock read amortized over 32 spans,
-//     at the cost of coarse (but still monotonic per thread) timestamps.
 //
-// Time comes from an injectable monotonic-nanosecond clock (the same
-// testable-time convention as util::CircuitBreaker's microsecond clock), so
-// tests drive a fake clock and get byte-identical trace files. The coarse
-// option only applies to the built-in steady clock — injected clocks stay
-// exact, deterministic tests included.
+// Every span is kept and stamped with two exact clock reads. Time comes from
+// an injectable monotonic-nanosecond clock (the same testable-time
+// convention as util::CircuitBreaker's microsecond clock), so tests drive a
+// fake clock and get byte-identical trace files.
 //
 // Concurrency contract: record() may run concurrently from any number of
 // threads, and spans()/chrome_trace_json()/ndjson()/recent_spans() may run
@@ -72,10 +66,6 @@ struct SpanRecord {
 
 class Tracer {
  public:
-  /// Real clock reads amortized per coarse-clock timestamp (see file
-  /// comment); bounds the timestamp staleness to ~kCoarseRefresh spans.
-  static constexpr std::uint32_t kCoarseRefresh = 32;
-
   /// `ring_capacity` bounds the completed spans kept per recording thread;
   /// older spans are overwritten (the export keeps the most recent window
   /// and reports how many were dropped).
@@ -85,39 +75,10 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  std::uint64_t now() const {
-    if (!default_clock_) return clock_();
-    if (coarse_.load(std::memory_order_relaxed)) return coarse_now_ns(id_);
-    return steady_now_ns();
-  }
-
-  /// Span timestamps from the TLS-cached coarse clock (default-clock tracers
-  /// only; injected clocks are already cheap/fake and stay exact). May be
-  /// toggled at any time; recording threads pick it up on their next span.
-  void set_coarse_clock(bool on) noexcept {
-    coarse_.store(on, std::memory_order_relaxed);
-  }
-  bool coarse_clock() const noexcept {
-    return coarse_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t now() const { return clock_(); }
 
   void record(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns,
               const char* arg_name = nullptr, std::int64_t arg = 0);
-
-  /// Keep only every Nth span per thread (1 = keep all, the default; 0 is
-  /// treated as 1). The decision runs BEFORE any clock read or argument
-  /// formatting, so a sampled-out span costs one TLS countdown decrement.
-  /// The first span on each thread is always kept, so span-existence
-  /// assertions hold at any rate. Direct record() calls bypass sampling.
-  void set_sample_every(std::uint32_t n) noexcept {
-    sample_every_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-  }
-  std::uint32_t sample_every() const noexcept {
-    return sample_every_.load(std::memory_order_relaxed);
-  }
-  /// Per-thread deterministic sampling decision (a countdown, not a RNG):
-  /// true when the caller should record the span it is about to build.
-  bool sample_this_span() noexcept;
 
   /// All retained spans, sorted by (start, longest-first, tid) so parents
   /// precede their children at equal timestamps. Safe to call while other
@@ -166,13 +127,9 @@ class Tracer {
   Ring& ring_for_this_thread();
   /// Copy one ring's consistent window into `out` (drops in-doubt records).
   void drain_ring(const Ring& ring, std::vector<SpanRecord>& out) const;
-  static std::uint64_t coarse_now_ns(std::uint64_t tracer_id);
 
   const std::uint64_t id_;  // process-unique; keys the thread-local cache
   const std::size_t capacity_;
-  const bool default_clock_;
-  std::atomic<bool> coarse_{false};
-  std::atomic<std::uint32_t> sample_every_{1};
   TraceClock clock_;
   mutable std::mutex mu_;  // guards ring registration and the rings_ vector
   std::vector<std::unique_ptr<Ring>> rings_;
@@ -180,15 +137,11 @@ class Tracer {
 
 /// RAII span: times construction -> destruction against the tracer's clock.
 /// A null tracer makes every operation a no-op (one branch), which is the
-/// telemetry-disabled hot path. The sampling decision is taken here in the
-/// constructor — a sampled-out span degrades to the null-tracer no-op before
-/// any clock read or argument formatting happens.
+/// telemetry-disabled hot path.
 class Span {
  public:
   Span(Tracer* tracer, const char* name) noexcept
-      : tracer_(tracer != nullptr && tracer->sample_this_span() ? tracer
-                                                                : nullptr),
-        name_(name), start_(tracer_ ? tracer_->now() : 0) {}
+      : tracer_(tracer), name_(name), start_(tracer_ ? tracer_->now() : 0) {}
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -452,19 +452,6 @@ TEST(EventLogTest, DeterministicNdjsonWithInjectedClocks) {
             std::string::npos);
 }
 
-TEST(EventLogTest, MinSeverityIsSuppressedAndCounted) {
-  EventLogConfig config;
-  config.min_severity = Severity::kWarn;
-  EventLog log(config);
-  log.emit(Severity::kDebug, "x", "dropped");
-  log.emit(Severity::kInfo, "x", "dropped too");
-  log.emit(Severity::kError, "x", "kept");
-  EXPECT_EQ(log.emitted(), 1u);
-  EXPECT_EQ(log.suppressed(), 2u);
-  ASSERT_EQ(log.recent().size(), 1u);
-  EXPECT_EQ(log.recent()[0].message, "kept");
-}
-
 TEST(EventLogTest, RingOverwritesOldestAtCapacity) {
   EventLogConfig config;
   config.ring_capacity = 3;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -266,30 +267,39 @@ TEST_F(PipelineTraceTest, TraceFilesAreByteIdenticalAcrossRuns) {
   EXPECT_EQ(slurp(p1 + ".ndjson"), slurp(p2 + ".ndjson"));
 }
 
-TEST_F(PipelineTraceTest, SamplingThinsContractSpansButKeepsPhases) {
+TEST_F(PipelineTraceTest, LiveSpansKeepEverySpanOnTheRealClockWithoutFiles) {
+  // The serving-mode tracer: live_spans with no export path. Run from an
+  // empty directory so a stray default-named export would show up.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "proxion_live_spans";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+
   Population pop = make_population(120);
-  PipelineConfig config = traced_config(
-      ::testing::TempDir() + "proxion_sampled.json", "");
-  config.telemetry.sample_every_n = 10;
+  PipelineConfig config;
+  config.telemetry.live_spans = true;
   AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
   const auto reports = pipeline.run(pop.sweep_inputs());
+  fs::current_path(cwd);
+
+  ASSERT_NE(pipeline.tracer(), nullptr);
+  EXPECT_TRUE(fs::is_empty(dir));
+
+  const std::string ndjson = pipeline.tracer()->ndjson_recent(1 << 20);
+  EXPECT_NE(ndjson.find("\"name\":\"phase:"), std::string::npos);
+  EXPECT_NE(ndjson.find("\"name\":\"contract\""), std::string::npos);
+
+  // Nothing was dropped, and every span carries exact timestamps: two
+  // steady-clock reads per span, so no zero durations.
   const auto spans = pipeline.tracer()->spans();
-
-  std::size_t phase_count = 0, contract_count = 0;
-  for (const SpanRecord& s : spans) {
-    const std::string_view name(s.name);
-    if (name.substr(0, 6) == "phase:") ++phase_count;
-    if (name == "contract") ++contract_count;
-  }
-  EXPECT_EQ(phase_count, 3u);
-  EXPECT_GT(contract_count, 0u);
-  // At 1-in-10 sampling the trace holds far fewer contract spans than the
-  // population (Phase A + Phase B each contribute at most ceil(n/10)).
-  EXPECT_LE(contract_count, 2 * (reports.size() / 10 + 1));
-
-  // Sampling thins the trace only — histograms still see every contract.
   const LandscapeStats stats = pipeline.summarize(reports);
-  EXPECT_EQ(stats.contract_latency_ns.count, reports.size());
+  EXPECT_EQ(stats.trace_spans_dropped, 0u);
+  EXPECT_EQ(stats.trace_spans_recorded, spans.size());
+  std::size_t zero_durations = 0;
+  for (const SpanRecord& s : spans) zero_durations += s.dur_ns == 0 ? 1 : 0;
+  EXPECT_EQ(zero_durations, 0u) << "of " << spans.size() << " spans";
 }
 
 TEST_F(PipelineTraceTest, DisabledTelemetryReportsNothing) {

@@ -2,11 +2,14 @@
 # Docs consistency gate (CI "docs" job):
 #   1. every relative markdown link in *.md and docs/*.md resolves to a file
 #      that exists in the repo (external http(s)/mailto links are skipped);
-#   2. every PipelineConfig knob documented in README.md's knob table exists
-#      in src/core/pipeline.h (dotted knobs like `static_tier.enabled` are
-#      checked by their leaf member name);
-#   3. every DurableSweepConfig knob documented in README.md's sweep-knob
-#      table exists in src/store/durable_sweep.h;
+#   2. README.md's knob table and PipelineConfig agree both ways: every
+#      documented knob exists in src/core/pipeline.h (dotted knobs like
+#      `static_tier.enabled` are checked by their leaf member name, and their
+#      first component must be a PipelineConfig field), and every field of
+#      `struct PipelineConfig` has a row (`<field>` or `<field>.*`);
+#   3. README.md's sweep-knob table and DurableSweepConfig agree both ways:
+#      every documented knob exists in src/store/durable_sweep.h and every
+#      field of `struct DurableSweepConfig` has a row;
 #   4. the README knob table and TelemetryConfig agree exactly: every field
 #      of `struct TelemetryConfig` in src/core/pipeline.h has a
 #      `telemetry.<field>` row, and every `telemetry.*` row names a real
@@ -26,6 +29,19 @@ set -eu
 cd "$(dirname "$0")/.."
 
 fail=0
+
+# Top-level data members of `struct <name>` in <header>, one per line: lines
+# at the struct's own two-space indent that are not comments, with trailing
+# comments, initializers (`= ...`, `{...}`) and the `;` stripped, reduced to
+# their last identifier.
+struct_fields() {
+  awk -v open="^struct $1 \\{" '$0 ~ open { in_struct = 1; next }
+                                  in_struct && /^\};/ { in_struct = 0 }
+                                  in_struct' "$2" |
+    grep '^  [^ /]' |
+    sed -e 's#  *//.*##' -e 's/ = .*//' -e 's/[{;].*//' \
+      -e 's/.*[^A-Za-z_0-9]\([a-z_][a-z_0-9]*\)$/\1/'
+}
 
 # ---- 1. relative markdown links ------------------------------------------
 for f in *.md docs/*.md; do
@@ -52,11 +68,29 @@ if [ -z "$knobs" ]; then
   echo "docs_check: could not find the PipelineConfig knob table in README.md" >&2
   fail=1
 fi
+pipeline_fields=$(struct_fields PipelineConfig src/core/pipeline.h)
+if [ -z "$pipeline_fields" ]; then
+  echo "docs_check: could not parse PipelineConfig fields from src/core/pipeline.h" >&2
+  fail=1
+fi
 for knob in $knobs; do
   leaf=${knob##*.}
   if ! grep -q -w "$leaf" src/core/pipeline.h; then
     echo "docs_check: README documents PipelineConfig knob '$knob' but" \
       "'$leaf' does not appear in src/core/pipeline.h" >&2
+    fail=1
+  fi
+  top=${knob%%.*}
+  if ! printf '%s\n' "$pipeline_fields" | grep -q "^$top\$"; then
+    echo "docs_check: README documents '$knob' but PipelineConfig has no" \
+      "field '$top'" >&2
+    fail=1
+  fi
+done
+for field in $pipeline_fields; do
+  if ! printf '%s\n' "$knobs" | grep -q "^$field\(\..*\)\{0,1\}\$"; then
+    echo "docs_check: PipelineConfig field '$field' has no row in" \
+      "README.md's knob table" >&2
     fail=1
   fi
 done
@@ -70,20 +104,28 @@ if [ -z "$sweep_knobs" ]; then
   echo "docs_check: could not find the DurableSweepConfig knob table in README.md" >&2
   fail=1
 fi
+sweep_fields=$(struct_fields DurableSweepConfig src/store/durable_sweep.h)
+if [ -z "$sweep_fields" ]; then
+  echo "docs_check: could not parse DurableSweepConfig fields from src/store/durable_sweep.h" >&2
+  fail=1
+fi
 for knob in $sweep_knobs; do
-  leaf=${knob##*.}
-  if ! grep -q -w "$leaf" src/store/durable_sweep.h; then
+  if ! printf '%s\n' "$sweep_fields" | grep -q "^$knob\$"; then
     echo "docs_check: README documents DurableSweepConfig knob '$knob' but" \
-      "'$leaf' does not appear in src/store/durable_sweep.h" >&2
+      "DurableSweepConfig has no such field" >&2
+    fail=1
+  fi
+done
+for field in $sweep_fields; do
+  if ! printf '%s\n' "$sweep_knobs" | grep -q "^$field\$"; then
+    echo "docs_check: DurableSweepConfig field '$field' has no row in" \
+      "README.md's sweep-knob table" >&2
     fail=1
   fi
 done
 
 # ---- 4. TelemetryConfig fields vs README telemetry.* rows (both ways) ----
-telemetry_fields=$(awk '/^struct TelemetryConfig \{/ { in_struct = 1; next }
-                        in_struct && /^\};/ { in_struct = 0 }
-                        in_struct' src/core/pipeline.h |
-  sed -n 's/^ *[A-Za-z_][A-Za-z_0-9:<>]*[ *&][ *&]*\([a-z_][a-z_0-9]*\)\( = [^;]*\)\{0,1\};$/\1/p')
+telemetry_fields=$(struct_fields TelemetryConfig src/core/pipeline.h)
 if [ -z "$telemetry_fields" ]; then
   echo "docs_check: could not parse TelemetryConfig fields from src/core/pipeline.h" >&2
   fail=1
@@ -181,8 +223,9 @@ done
 
 if [ "$fail" -eq 0 ]; then
   echo "docs_check: all markdown links resolve;" \
-    "all $(echo "$knobs" | wc -l | tr -d ' ') documented pipeline knobs and" \
-    "$(echo "$sweep_knobs" | wc -l | tr -d ' ') sweep knobs exist;" \
+    "all $(echo "$pipeline_fields" | wc -l | tr -d ' ') PipelineConfig and" \
+    "$(echo "$sweep_fields" | wc -l | tr -d ' ') DurableSweepConfig fields" \
+    "match their README rows;" \
     "all $(echo "$telemetry_fields" | wc -l | tr -d ' ') TelemetryConfig" \
     "fields documented;" \
     "$(echo "$endpoints" | wc -l | tr -d ' ') endpoints and" \
