@@ -1,6 +1,7 @@
 #include "chain/coalescing_node.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace proxion::chain {
 
@@ -72,37 +73,44 @@ std::vector<U256> CoalescingArchiveNode::get_storage_at_many(
     std::span<const StorageQuery> queries) const {
   const std::size_t n = queries.size();
   std::vector<U256> out(n);
-  std::vector<std::uint8_t> done(n, 0);
-  std::size_t remaining = n;
 
+  // In-batch dedup: sort the batch's indices by (account, slot, block,
+  // index), so each distinct probe is one run whose first index is its
+  // representative; rep[i] names the representative of probe i. O(n log n)
+  // with no allocation per probe: a batch can carry the bisection frontiers
+  // of many proxies. Representatives are then resolved in batch order.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const StorageQuery& x = queries[a];
+    const StorageQuery& y = queries[b];
+    if (x.account != y.account) return x.account < y.account;
+    if (x.slot != y.slot) return x.slot < y.slot;
+    if (x.block != y.block) return x.block < y.block;
+    return a < b;
+  });
+  std::vector<std::size_t> rep(n);
+  std::size_t remaining = 0;  // unresolved representatives
+  for (std::size_t k = 0; k < n; ++k) {
+    const StorageQuery& q = queries[order[k]];
+    const bool duplicate = k > 0 && queries[order[k - 1]].block == q.block &&
+                           queries[order[k - 1]].slot == q.slot &&
+                           queries[order[k - 1]].account == q.account;
+    rep[order[k]] = duplicate ? rep[order[k - 1]] : order[k];
+    if (!duplicate) ++remaining;
+  }
+  std::vector<std::uint8_t> done(n, 0);
+
+  std::vector<std::size_t> owned;  // probes we claimed and will fetch
+  std::vector<StorageQuery> batch;
   while (remaining > 0) {
-    std::vector<std::size_t> owned;    // probes we claimed and will fetch
-    std::vector<std::size_t> aliases;  // in-batch duplicates of owned probes
-    std::vector<std::size_t> alias_owner;
+    owned.clear();
     std::size_t first_blocked = n;  // a probe in flight on another thread
 
     for (std::size_t i = 0; i < n; ++i) {
-      if (done[i] != 0) continue;
+      if (rep[i] != i || done[i] != 0) continue;
       const StorageQuery& q = queries[i];
       const SlotKey key{q.account, q.slot};
-
-      // In-batch dedup against probes this pass already owns (batches are
-      // small — a frontier per binary-search level — so linear scan wins
-      // over a hash map here).
-      std::size_t dup = owned.size();
-      for (std::size_t k = 0; k < owned.size(); ++k) {
-        const StorageQuery& o = queries[owned[k]];
-        if (o.block == q.block && o.slot == q.slot && o.account == q.account) {
-          dup = k;
-          break;
-        }
-      }
-      if (dup != owned.size()) {
-        aliases.push_back(i);
-        alias_owner.push_back(owned[dup]);
-        continue;
-      }
-
       Shard& shard = shard_for(key);
       std::unique_lock<std::mutex> lock(shard.mu);
       if (lookup_locked(shard, key, q.block, &out[i])) {
@@ -120,8 +128,7 @@ std::vector<U256> CoalescingArchiveNode::get_storage_at_many(
     }
 
     if (!owned.empty()) {
-      std::vector<StorageQuery> batch;
-      batch.reserve(owned.size());
+      batch.clear();
       for (const std::size_t i : owned) batch.push_back(queries[i]);
 
       // Seal horizon is captured BEFORE the fetch: a height already below
@@ -171,12 +178,7 @@ std::vector<U256> CoalescingArchiveNode::get_storage_at_many(
         }
         shard.cv.notify_all();
       }
-      for (std::size_t k = 0; k < aliases.size(); ++k) {
-        out[aliases[k]] = out[alias_owner[k]];
-        done[aliases[k]] = 1;
-        --remaining;
-      }
-    } else if (remaining > 0 && first_blocked != n) {
+    } else if (first_blocked != n) {
       // Nothing to fetch ourselves: block until the owning thread commits
       // (next pass hits the cache) or fails (next pass claims ownership).
       const StorageQuery& q = queries[first_blocked];
@@ -189,8 +191,10 @@ std::vector<U256> CoalescingArchiveNode::get_storage_at_many(
         return fl == shard.inflight.end() || fl->second.count(q.block) == 0;
       });
     }
-    // else: everything resolved this pass, or aliases of a blocked probe —
-    // loop and retry (the blocked owner path above is the only waiter).
+  }
+  // Every duplicate answers as its representative did.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rep[i] != i) out[i] = out[rep[i]];
   }
   return out;
 }

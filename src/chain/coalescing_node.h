@@ -14,7 +14,9 @@
 //  2. In-flight dedup. Identical probes issued concurrently by different
 //     sweep workers ride one backend fetch: the first becomes the owner, the
 //     rest block on the shard's condition variable until the owner commits
-//     (or fails, in which case a waiter takes over ownership).
+//     (or fails, in which case a waiter takes over ownership). Identical
+//     probes within one batch are one probe too (one miss or hit), found by
+//     sorting the batch, so dedup costs O(n log n) however large it grows.
 //
 // Probes at or above the inner node's current head are always forwarded and
 // never cached: the open block can still be rewritten by the simulated

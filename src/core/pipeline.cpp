@@ -536,162 +536,203 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   // proxies delegate to it (the seed re-hashed per pair). Every contract is
   // its own failure domain: an RPC giving up mid-history or a watchdog
   // expiry quarantines this contract and the sweep moves on.
+  //
+  // The phase runs over contiguous groups of contracts. A group first runs
+  // Algorithm 1 for all its proxies at once (LogicFinder::find_many: one
+  // archive batch per bisection round across the group), then finishes each
+  // contract on its own. On the CPU pool a group is one contract: the
+  // archive answers in process, and batching there only adds work. When the
+  // archive blocks, a group is inputs / (4 * archive_inflight) contracts:
+  // each round trip then carries the frontiers of a group's proxies, and
+  // four groups per I/O worker keep the workers evenly loaded. One finder
+  // serves the whole phase, so once a shared batch fails, the rest of the
+  // run sends one batch per proxy (LogicFinder::find_many).
+  const std::size_t group_size =
+      archive_workers == &workers
+          ? 1
+          : std::max<std::size_t>(
+                1, inputs.size() / (4 * archive_workers->size()));
+  const std::size_t groups = (inputs.size() + group_size - 1) / group_size;
+
+  // Verdict and identity of contract i; true when it still needs the pair
+  // phase's work (it is not quarantined already).
+  auto take_verdict = [&](std::size_t i) {
+    ContractAnalysis& a = out[i];
+    a.address = inputs[i].address;
+    a.year = inputs[i].year;
+    a.has_source = inputs[i].has_source;
+    a.has_tx = inputs[i].has_tx;
+    if (a.error) return false;  // fetch or Phase A already quarantined it
+
+    const auto vit = verdicts.find(key_of(i));
+    if (vit == verdicts.end()) {
+      // Our representative's Phase A failed; inherit its quarantine record.
+      a.error = failed_keys.at(key_of(i));
+      return false;
+    }
+    a.proxy = *vit->second;
+    a.deduplicated =
+        config_.dedup_by_code_hash && representative.at(key_of(i)) != i;
+    // A deduplicated slot-proxy verdict carries the representative's logic
+    // address; re-read this contract's slot for its own logic target.
+    if (a.deduplicated && a.proxy.is_proxy() &&
+        a.proxy.logic_source == LogicSource::kStorageSlot) {
+      const U256 word = chain_.get_storage(a.address, a.proxy.logic_slot) &
+                        ((U256{1} << U256{160}) - U256{1});
+      a.proxy.logic_address = Address::from_word(word);
+    }
+    return true;
+  };
+
+  // The rest of contract i's pair phase, given its Algorithm 1 outcome
+  // (`job`, null unless it is a proxy and logic history is on).
+  auto finish = [&](std::size_t i, LogicJob* job) {
+    ContractAnalysis& a = out[i];
+    util::Watchdog watchdog(config_.contract_wall_budget_ms);
+    try {
+      if (!a.proxy.is_proxy()) {
+        if (config_.probe_diamonds && a.proxy.has_delegatecall_opcode &&
+            a.proxy.verdict == ProxyVerdict::kNotProxy) {
+          DiamondProber prober(chain_, {}, cache_.get());
+          a.diamond = prober.probe(a.address, a.proxy);
+        }
+        return;
+      }
+
+      watchdog.check("logic-history");
+      if (job != nullptr) {
+        if (job->error) std::rethrow_exception(job->error);
+        a.logic_history = std::move(job->history);
+      } else if (!a.proxy.logic_address.is_zero()) {
+        a.logic_history.logic_addresses.push_back(a.proxy.logic_address);
+      }
+
+      if (!config_.detect_collisions) return;
+      for (const Address& logic : a.logic_history.logic_addresses) {
+        watchdog.check("pair-collisions");
+        const std::shared_ptr<const CodeBlob> blob = fetch_blob(logic, nullptr);
+        if (blob->code.empty()) continue;
+        a.logic_has_source =
+            a.logic_has_source ||
+            (sources_ != nullptr && sources_->has_source(logic));
+
+        const PairOutcome outcome = pair_cache_->get_or_compute(
+            key_of(i) + blob->key, [&] {
+              // Spanned inside the pair memo: a hit reuses the outcome
+              // without running the detectors, so it shows no
+              // collision-check span.
+              obs::Span pair_span(tracer_.get(), "collision-check");
+              PairOutcome o;
+              FunctionCollisionDetector fn_detector(sources_, cache_.get());
+              // Source-mode lookups go through same-bytecode donors (§7.1):
+              // a clone of a verified contract is analyzed as if verified
+              // itself.
+              const Address proxy_lookup =
+                  with_source_donor(key_of(i), a.address);
+              const Address logic_lookup = with_source_donor(blob->key, logic);
+              o.function_collision =
+                  fn_detector
+                      .detect(proxy_lookup, blobs[i]->code, &blobs[i]->hash,
+                              logic_lookup, blob->code, &blob->hash)
+                      .has_collision();
+              StorageCollisionConfig st_config;
+              st_config.attempt_verification = false;
+              st_config.compare_families = config_.static_tier.infer_layout;
+              StorageCollisionDetector st_detector(chain_, st_config,
+                                                   cache_.get(), sources_);
+              const StorageCollisionResult st = st_detector.detect(
+                  a.address, blobs[i]->code, &blobs[i]->hash, logic,
+                  blob->code, &blob->hash, &proxy_lookup, &logic_lookup);
+              o.storage_collision = st.has_collision();
+              for (const StorageCollisionFinding& f : st.findings) {
+                if (f.exploitable) o.exploitable.push_back(f);
+              }
+              o.family_collision = st.has_family_collision();
+              o.family_checked = st.family_checked;
+              o.family_source_free = st.family_source_free;
+              return o;
+            });
+        a.function_collision |= outcome.function_collision;
+        a.storage_collision |= outcome.storage_collision;
+        // Verification reads this contract's own storage, so it runs here,
+        // per contract, never through the code-hash-keyed memo.
+        if (!a.storage_collision_exploitable && !outcome.exploitable.empty()) {
+          const StorageCollisionDetector verifier(chain_, {}, cache_.get());
+          for (StorageCollisionFinding f : outcome.exploitable) {
+            if (verifier.verify(a.address, blobs[i]->code, logic, blob->code,
+                                &blob->hash, f)) {
+              a.storage_collision_exploitable = true;
+              break;
+            }
+          }
+        }
+        a.family_collision |= outcome.family_collision;
+        if (outcome.family_checked) ++a.collision_pairs_family_checked;
+        if (outcome.family_source_free) ++a.collision_pairs_source_free;
+      }
+    } catch (const chain::RpcError& e) {
+      a.error = record_of(e, "pairs");
+    } catch (const util::WatchdogExpired& e) {
+      a.error = ErrorRecord{ErrorKind::kEmulationLimit, "pairs", e.what()};
+    } catch (const std::exception& e) {
+      a.error = ErrorRecord{ErrorKind::kInternal, "pairs", e.what()};
+    }
+  };
+
   if (status != nullptr) status->set_phase(obs::SweepPhase::kPairs);
+  const LogicFinder finder(rpc(), &attempt_rpc());
   {
     obs::Span phase_span(tracer_.get(), "phase:pairs");
-    archive_workers->parallel_for(inputs.size(), [&](std::size_t i) {
-      ContractAnalysis& a = out[i];
-      if (reuse_prior(i)) {
-        a = (*prior)[i];
+    archive_workers->parallel_for(groups, [&](std::size_t g) {
+      const std::size_t begin = g * group_size;
+      const std::size_t end = std::min(inputs.size(), begin + group_size);
+
+      // Algorithm 1 for the group's proxies, in one find_many call.
+      std::vector<LogicJob> jobs;  // in input order
+      for (std::size_t i = begin; i < end; ++i) {
+        if (reuse_prior(i) || !take_verdict(i)) continue;
+        if (config_.find_logic_history && out[i].proxy.is_proxy()) {
+          jobs.push_back({out[i].address, &out[i].proxy, {}, nullptr});
+        }
+      }
+      if (!jobs.empty()) {
+        obs::Span logic_span(tracer_.get(), "logic-search");
+        try {
+          finder.find_many(jobs);
+        } catch (const std::exception&) {
+          for (LogicJob& job : jobs) job.error = std::current_exception();
+        }
+        std::int64_t items = 0;
+        for (const LogicJob& job : jobs) {
+          items += static_cast<std::int64_t>(job.history.api_calls);
+        }
+        logic_span.arg("proxies", static_cast<std::int64_t>(jobs.size()));
+        logic_span.arg("items", items);
+      }
+
+      std::size_t next_job = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (reuse_prior(i)) {
+          out[i] = (*prior)[i];
+        } else {
+          // Per-contract latency stopwatch and trace span around the rest
+          // of this contract's pair phase.
+          const std::uint64_t t0 = h_contract_ != nullptr ? clock_() : 0;
+          {
+            obs::Span contract_span(tracer_.get(), "contract");
+            contract_span.arg("index", static_cast<std::int64_t>(i));
+            LogicJob* job =
+                next_job < jobs.size() && jobs[next_job].report == &out[i].proxy
+                    ? &jobs[next_job++]
+                    : nullptr;
+            if (!out[i].error) finish(i, job);
+          }
+          if (h_contract_ != nullptr) h_contract_->record(clock_() - t0);
+        }
         if (c_contracts_ != nullptr) c_contracts_->add();
         if (status != nullptr) {
           status->contracts_done.fetch_add(1, std::memory_order_relaxed);
         }
-        return;
-      }
-      // Per-contract latency stopwatch + trace span around the whole pair
-      // phase for this contract; the body runs as an immediately-invoked
-      // lambda so its early returns still land on the record below.
-      const std::uint64_t t0 = h_contract_ != nullptr ? clock_() : 0;
-      {
-        obs::Span contract_span(tracer_.get(), "contract");
-        contract_span.arg("index", static_cast<std::int64_t>(i));
-        [&] {
-          a.address = inputs[i].address;
-          a.year = inputs[i].year;
-          a.has_source = inputs[i].has_source;
-          a.has_tx = inputs[i].has_tx;
-          if (a.error) return;  // fetch or Phase A already quarantined it
-
-          const auto vit = verdicts.find(key_of(i));
-          if (vit == verdicts.end()) {
-            // Our representative's Phase A failed; inherit its quarantine
-            // record.
-            a.error = failed_keys.at(key_of(i));
-            return;
-          }
-          a.proxy = *vit->second;
-          a.deduplicated =
-              config_.dedup_by_code_hash &&
-              representative.at(key_of(i)) != i;
-
-          util::Watchdog watchdog(config_.contract_wall_budget_ms);
-          try {
-            if (!a.proxy.is_proxy()) {
-              if (config_.probe_diamonds && a.proxy.has_delegatecall_opcode &&
-                  a.proxy.verdict == ProxyVerdict::kNotProxy) {
-                DiamondProber prober(chain_, {}, cache_.get());
-                a.diamond = prober.probe(a.address, a.proxy);
-              }
-              return;
-            }
-
-            // A deduplicated slot-proxy verdict carries the representative's
-            // logic address; re-read this contract's slot for its own logic
-            // target.
-            if (a.deduplicated &&
-                a.proxy.logic_source == LogicSource::kStorageSlot) {
-              const U256 word =
-                  chain_.get_storage(a.address, a.proxy.logic_slot) &
-                  ((U256{1} << U256{160}) - U256{1});
-              a.proxy.logic_address = Address::from_word(word);
-            }
-
-            watchdog.check("logic-history");
-            if (config_.find_logic_history) {
-              obs::Span logic_span(tracer_.get(), "logic-search");
-              LogicFinder finder(rpc());
-              a.logic_history = finder.find(a.address, a.proxy);
-            } else if (!a.proxy.logic_address.is_zero()) {
-              a.logic_history.logic_addresses.push_back(a.proxy.logic_address);
-            }
-
-            if (!config_.detect_collisions) return;
-            for (const Address& logic : a.logic_history.logic_addresses) {
-              watchdog.check("pair-collisions");
-              const std::shared_ptr<const CodeBlob> blob =
-                  fetch_blob(logic, nullptr);
-              if (blob->code.empty()) continue;
-              a.logic_has_source =
-                  a.logic_has_source ||
-                  (sources_ != nullptr && sources_->has_source(logic));
-
-              const PairOutcome outcome = pair_cache_->get_or_compute(
-                  key_of(i) + blob->key, [&] {
-                    // Spanned inside the pair memo: a hit reuses the outcome
-                    // without running the detectors, so it shows no
-                    // collision-check span.
-                    obs::Span pair_span(tracer_.get(), "collision-check");
-                    PairOutcome o;
-                    FunctionCollisionDetector fn_detector(sources_,
-                                                          cache_.get());
-                    // Source-mode lookups go through same-bytecode donors
-                    // (§7.1): a clone of a verified contract is analyzed as
-                    // if verified itself.
-                    const Address proxy_lookup =
-                        with_source_donor(key_of(i), a.address);
-                    const Address logic_lookup =
-                        with_source_donor(blob->key, logic);
-                    o.function_collision =
-                        fn_detector
-                            .detect(proxy_lookup, blobs[i]->code,
-                                    &blobs[i]->hash, logic_lookup, blob->code,
-                                    &blob->hash)
-                            .has_collision();
-                    StorageCollisionConfig st_config;
-                    st_config.attempt_verification = false;
-                    st_config.compare_families =
-                        config_.static_tier.infer_layout;
-                    StorageCollisionDetector st_detector(
-                        chain_, st_config, cache_.get(), sources_);
-                    const StorageCollisionResult st = st_detector.detect(
-                        a.address, blobs[i]->code, &blobs[i]->hash, logic,
-                        blob->code, &blob->hash, &proxy_lookup, &logic_lookup);
-                    o.storage_collision = st.has_collision();
-                    for (const StorageCollisionFinding& f : st.findings) {
-                      if (f.exploitable) o.exploitable.push_back(f);
-                    }
-                    o.family_collision = st.has_family_collision();
-                    o.family_checked = st.family_checked;
-                    o.family_source_free = st.family_source_free;
-                    return o;
-                  });
-              a.function_collision |= outcome.function_collision;
-              a.storage_collision |= outcome.storage_collision;
-              // Verification reads this contract's own storage, so it runs
-              // here, per contract, never through the code-hash-keyed memo.
-              if (!a.storage_collision_exploitable &&
-                  !outcome.exploitable.empty()) {
-                const StorageCollisionDetector verifier(chain_, {},
-                                                        cache_.get());
-                for (StorageCollisionFinding f : outcome.exploitable) {
-                  if (verifier.verify(a.address, blobs[i]->code, logic,
-                                      blob->code, &blob->hash, f)) {
-                    a.storage_collision_exploitable = true;
-                    break;
-                  }
-                }
-              }
-              a.family_collision |= outcome.family_collision;
-              if (outcome.family_checked) ++a.collision_pairs_family_checked;
-              if (outcome.family_source_free) {
-                ++a.collision_pairs_source_free;
-              }
-            }
-          } catch (const chain::RpcError& e) {
-            a.error = record_of(e, "pairs");
-          } catch (const util::WatchdogExpired& e) {
-            a.error = ErrorRecord{ErrorKind::kEmulationLimit, "pairs",
-                                  e.what()};
-          } catch (const std::exception& e) {
-            a.error = ErrorRecord{ErrorKind::kInternal, "pairs", e.what()};
-          }
-        }();
-      }
-      if (h_contract_ != nullptr) h_contract_->record(clock_() - t0);
-      if (c_contracts_ != nullptr) c_contracts_->add();
-      if (status != nullptr) {
-        status->contracts_done.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }

@@ -326,6 +326,8 @@ struct LandscapeStats {
   // ---- latency distributions (telemetry; all-zero when disabled) --------
   /// Phase-B wall time per contract, nanoseconds (count = contracts that
   /// went through the pair phase this run, excluding resume carry-overs).
+  /// Algorithm 1 runs per group of contracts before this stopwatch starts,
+  /// so it is not included.
   obs::HistogramSummary contract_latency_ns;
   /// Per-RPC-attempt latency, nanoseconds — each retry is its own sample,
   /// matching §6.1's call-level accounting.
@@ -485,6 +487,13 @@ class AnalysisPipeline {
   const chain::IArchiveNode& rpc() const noexcept {
     if (coalescer_) return *coalescer_;
     if (resilient_) return *resilient_;
+    if (tracing_node_) return *tracing_node_;
+    return *backend_;
+  }
+
+  /// The stack below the retry layer (tracing -> raw backend): one call is
+  /// one attempt, and the circuit breaker never sees it.
+  const chain::IArchiveNode& attempt_rpc() const noexcept {
     if (tracing_node_) return *tracing_node_;
     return *backend_;
   }

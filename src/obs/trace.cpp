@@ -140,14 +140,17 @@ Tracer::Ring& Tracer::ring_for_this_thread() {
 
 void Tracer::record(const char* name, std::uint64_t start_ns,
                     std::uint64_t dur_ns, const char* arg_name,
-                    std::int64_t arg) {
+                    std::int64_t arg, const char* arg2_name,
+                    std::int64_t arg2) {
   Ring& ring = ring_for_this_thread();
   const std::uint64_t w = ring.written.load(std::memory_order_relaxed);
   Slot& slot = ring.buf[w % (capacity_ + 1)];
-  const std::uint64_t meta = (std::uint64_t{intern_name(name)} << 16) |
-                             std::uint64_t{intern_name(arg_name)};
+  const std::uint64_t meta = (std::uint64_t{intern_name(name)} << 32) |
+                             (std::uint64_t{intern_name(arg_name)} << 16) |
+                             std::uint64_t{intern_name(arg2_name)};
   slot.meta.store(meta, std::memory_order_relaxed);
   slot.arg.store(arg, std::memory_order_relaxed);
+  slot.arg2.store(arg2, std::memory_order_relaxed);
   slot.start_ns.store(start_ns, std::memory_order_relaxed);
   slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
   // Release-publish: a reader that acquires `written` > w sees this slot's
@@ -169,9 +172,12 @@ void Tracer::drain_ring(const Ring& ring, std::vector<SpanRecord>& out) const {
     const Slot& s = ring.buf[i % nslots];
     const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
     SpanRecord rec;
-    rec.name = interned_name(static_cast<std::uint16_t>(meta >> 16));
-    rec.arg_name = interned_name(static_cast<std::uint16_t>(meta & 0xFFFF));
+    rec.name = interned_name(static_cast<std::uint16_t>(meta >> 32));
+    rec.arg_name =
+        interned_name(static_cast<std::uint16_t>((meta >> 16) & 0xFFFF));
     rec.arg = s.arg.load(std::memory_order_relaxed);
+    rec.arg2_name = interned_name(static_cast<std::uint16_t>(meta & 0xFFFF));
+    rec.arg2 = s.arg2.load(std::memory_order_relaxed);
     rec.start_ns = s.start_ns.load(std::memory_order_relaxed);
     rec.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
     rec.tid = ring.tid;
@@ -242,6 +248,7 @@ void Tracer::clear() {
     for (Slot& s : ring->buf) {
       s.meta.store(0, std::memory_order_relaxed);
       s.arg.store(0, std::memory_order_relaxed);
+      s.arg2.store(0, std::memory_order_relaxed);
       s.start_ns.store(0, std::memory_order_relaxed);
       s.dur_ns.store(0, std::memory_order_relaxed);
     }
@@ -298,6 +305,12 @@ std::string spans_to_ndjson(const std::vector<SpanRecord>& all) {
       out += "\":";
       append_i64(out, s.arg);
     }
+    if (s.arg2_name != nullptr) {
+      out += ",\"";
+      append_escaped(out, s.arg2_name);
+      out += "\":";
+      append_i64(out, s.arg2);
+    }
     out += "}\n";
   }
   return out;
@@ -327,6 +340,12 @@ std::string Tracer::chrome_trace_json() const {
       append_escaped(out, s.arg_name);
       out += "\":";
       append_i64(out, s.arg);
+      if (s.arg2_name != nullptr) {
+        out += ",\"";
+        append_escaped(out, s.arg2_name);
+        out += "\":";
+        append_i64(out, s.arg2);
+      }
       out += "}";
     }
     out += "}";

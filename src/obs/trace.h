@@ -10,11 +10,11 @@
 //     per-span std::string. The intern lookup is a TLS direct-mapped
 //     pointer cache — one predictable hit for every literal after its first
 //     use on a thread.
-//   - ring SLOTS are four relaxed atomics (meta, arg, start, dur) published
-//     by a release bump of the ring's `written` counter. That makes the
-//     bulk readers (spans(), ndjson(), the /spans drain) safe to run WHILE
-//     other threads record — a reader snapshots the window and drops any
-//     record the writer may have been overwriting during the copy.
+//   - ring SLOTS are five relaxed atomics (meta, arg, arg2, start, dur)
+//     published by a release bump of the ring's `written` counter. That
+//     makes the bulk readers (spans(), ndjson(), the /spans drain) safe to
+//     run WHILE other threads record — a reader snapshots the window and
+//     drops any record the writer may have been overwriting during the copy.
 //
 // Every span is kept and stamped with two exact clock reads. Time comes from
 // an injectable monotonic-nanosecond clock (the same testable-time
@@ -59,6 +59,8 @@ struct SpanRecord {
   const char* name = nullptr;
   const char* arg_name = nullptr;  // nullptr = no argument
   std::int64_t arg = 0;
+  const char* arg2_name = nullptr;  // nullptr = no second argument
+  std::int64_t arg2 = 0;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
   std::uint32_t tid = 0;  // ring index, stable per recording thread
@@ -78,7 +80,8 @@ class Tracer {
   std::uint64_t now() const { return clock_(); }
 
   void record(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns,
-              const char* arg_name = nullptr, std::int64_t arg = 0);
+              const char* arg_name = nullptr, std::int64_t arg = 0,
+              const char* arg2_name = nullptr, std::int64_t arg2 = 0);
 
   /// All retained spans, sorted by (start, longest-first, tid) so parents
   /// precede their children at equal timestamps. Safe to call while other
@@ -108,10 +111,12 @@ class Tracer {
 
  private:
   /// One completed span in ring storage: relaxed atomics so concurrent
-  /// drains are race-free; `meta` packs (name_id << 16) | arg_name_id.
+  /// drains are race-free; `meta` packs
+  /// (name_id << 32) | (arg_name_id << 16) | arg2_name_id.
   struct Slot {
     std::atomic<std::uint64_t> meta{0};
     std::atomic<std::int64_t> arg{0};
+    std::atomic<std::int64_t> arg2{0};
     std::atomic<std::uint64_t> start_ns{0};
     std::atomic<std::uint64_t> dur_ns{0};
   };
@@ -146,16 +151,23 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attach one numeric argument (e.g. the sweep index). `arg_name` must be
-  /// a string literal.
+  /// Attach a numeric argument (e.g. the sweep index); a span carries up to
+  /// two. Setting a name again overwrites its value, and a third name
+  /// replaces the second. `arg_name` must be a string literal.
   void arg(const char* arg_name, std::int64_t value) noexcept {
-    arg_name_ = arg_name;
-    arg_ = value;
+    if (arg_name_ == nullptr || arg_name_ == arg_name) {
+      arg_name_ = arg_name;
+      arg_ = value;
+    } else {
+      arg2_name_ = arg_name;
+      arg2_ = value;
+    }
   }
 
   ~Span() {
     if (tracer_ == nullptr) return;
-    tracer_->record(name_, start_, tracer_->now() - start_, arg_name_, arg_);
+    tracer_->record(name_, start_, tracer_->now() - start_, arg_name_, arg_,
+                    arg2_name_, arg2_);
   }
 
  private:
@@ -163,6 +175,8 @@ class Span {
   const char* name_;
   const char* arg_name_ = nullptr;
   std::int64_t arg_ = 0;
+  const char* arg2_name_ = nullptr;
+  std::int64_t arg2_ = 0;
   std::uint64_t start_;
 };
 

@@ -262,6 +262,27 @@ TEST_F(ArchiveBatchTest, CoalescedBatchMatchesUncoalescedResults) {
   EXPECT_LT(backing.get_storage_at_calls(), 2 * queries.size());
 }
 
+TEST_F(ArchiveBatchTest, LargeBatchWithDuplicatesCountsEachDistinctProbeOnce) {
+  // A batch the size of many proxies' bisection frontiers: 2,000 probes over
+  // 500 distinct (account, height) pairs, each asked four times, scattered.
+  ArchiveNode plain(chain_);
+  ArchiveNode backing(chain_);
+  CoalescingArchiveNode node(backing);
+
+  std::vector<StorageQuery> queries;
+  for (std::uint64_t k = 0; k < 2'000; ++k) {
+    const std::uint64_t probe = (k * 7) % 500;
+    queries.push_back({probe % 2 == 0 ? a_ : b_, kSlot, probe});
+  }
+  const auto expected = plain.get_storage_at_many(queries);
+  EXPECT_EQ(node.get_storage_at_many(queries), expected);
+
+  const auto s = node.stats();
+  EXPECT_EQ(s.misses, 500u);
+  EXPECT_EQ(s.exact_hits + s.interval_hits, 0u);
+  EXPECT_EQ(backing.get_storage_at_calls(), 500u);
+}
+
 TEST_F(ArchiveBatchTest, FailedFetchCachesNothing) {
   ArchiveNode inner(chain_);
   FaultProfile profile;

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -149,6 +150,27 @@ TEST(TracerTest, NdjsonIsOneWellFormedObjectPerLine) {
   EXPECT_EQ(n, 2);
 }
 
+TEST(TracerTest, SpanCarriesTwoArgumentsIntoBothExports) {
+  Tracer tracer(fake_clock());
+  {
+    Span s(&tracer, "batch");
+    s.arg("proxies", 3);
+    s.arg("items", 40);
+    s.arg("items", 41);  // a repeated name overwrites its own value
+  }
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].arg_name, "proxies");
+  EXPECT_EQ(spans[0].arg, 3);
+  EXPECT_STREQ(spans[0].arg2_name, "items");
+  EXPECT_EQ(spans[0].arg2, 41);
+  EXPECT_NE(tracer.chrome_trace_json().find(
+                "\"args\":{\"proxies\":3,\"items\":41}"),
+            std::string::npos);
+  EXPECT_NE(tracer.ndjson().find("\"proxies\":3,\"items\":41}"),
+            std::string::npos);
+}
+
 class PipelineTraceTest : public ::testing::Test {
  protected:
   static Population make_population(std::uint32_t n) {
@@ -236,18 +258,57 @@ TEST_F(PipelineTraceTest, SpansNestByTimeContainment) {
     }
     return false;
   };
-  // Every contract span sits inside a phase span; every sub-analysis span
-  // sits inside a contract span (proxy-detect ⊂ contract ⊂ phase).
+  // Every contract span sits inside a phase span; every per-contract
+  // sub-analysis span sits inside a contract span (proxy-detect ⊂ contract
+  // ⊂ phase). Algorithm 1 runs once per group of contracts, before their
+  // contract spans, so logic-search sits inside phase:pairs.
   for (const SpanRecord& c : contracts) {
     EXPECT_TRUE(covered_by_any(phases, c));
   }
+  std::vector<SpanRecord> pairs_phase;
+  for (const SpanRecord& p : phases) {
+    if (std::string_view(p.name) == "phase:pairs") pairs_phase.push_back(p);
+  }
+  ASSERT_EQ(pairs_phase.size(), 1u);
   for (const SpanRecord& s : spans) {
     const std::string_view name(s.name);
-    if (name == "proxy-detect" || name == "logic-search" ||
-        name == "collision-check") {
+    if (name == "proxy-detect" || name == "collision-check") {
       EXPECT_TRUE(covered_by_any(contracts, s)) << name;
     }
+    if (name == "logic-search") {
+      EXPECT_TRUE(covered_by_any(pairs_phase, s)) << name;
+    }
   }
+}
+
+TEST_F(PipelineTraceTest, LogicSearchSpansCountProxiesAndProbes) {
+  Population pop = make_population(300);
+  PipelineConfig config = traced_config("", "");
+  config.telemetry.live_spans = true;
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+  const auto reports = pipeline.run(pop.sweep_inputs());
+  ASSERT_NE(pipeline.tracer(), nullptr);
+
+  std::int64_t proxies = 0;
+  std::int64_t items = 0;
+  for (const SpanRecord& s : pipeline.tracer()->spans()) {
+    if (std::string_view(s.name) != "logic-search") continue;
+    ASSERT_STREQ(s.arg_name, "proxies");
+    ASSERT_STREQ(s.arg2_name, "items");
+    EXPECT_GT(s.arg, 0);
+    proxies += s.arg;
+    items += s.arg2;
+  }
+  std::int64_t expected_proxies = 0;
+  std::int64_t expected_items = 0;
+  for (const auto& r : reports) {
+    if (r.quarantined() || !r.proxy.is_proxy()) continue;
+    ++expected_proxies;
+    expected_items += static_cast<std::int64_t>(r.logic_history.api_calls);
+  }
+  EXPECT_GT(expected_items, 0);
+  EXPECT_EQ(proxies, expected_proxies);
+  EXPECT_EQ(items, expected_items);
 }
 
 TEST_F(PipelineTraceTest, TraceFilesAreByteIdenticalAcrossRuns) {

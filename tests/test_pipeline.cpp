@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <string_view>
 #include <thread>
 
 #include "chain/blockchain.h"
@@ -631,6 +632,117 @@ TEST_F(ArchiveFanOutTest, TransientFaultsUnderFanOutMatchTheFaultFreeSweep) {
   ASSERT_EQ(reports.size(), expected.size());
   for (std::size_t i = 0; i < reports.size(); ++i) {
     EXPECT_TRUE(reports[i] == expected[i]) << "contract " << i << " diverged";
+  }
+}
+
+// Algorithm 1 runs per group of contracts: groups of one on the CPU pool,
+// larger when the archive blocks. Each group's find_many is one logic-search
+// span whose `proxies` arg counts the proxies it searched.
+TEST_F(ArchiveFanOutTest, BlockingArchiveSearchesProxiesInGroups) {
+  Population pop = make_population(400);
+  const auto expected = reference(pop);
+  chain::ArchiveNode inner(*pop.chain);
+  auto largest_group = [&](std::chrono::microseconds delay) {
+    SleepingArchiveNode node(inner, delay);
+    PipelineConfig config;
+    config.threads = 2;
+    config.archive_inflight = 8;
+    config.archive_node = &node;
+    config.telemetry.live_spans = true;
+    AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+    EXPECT_TRUE(pipeline.run(pop.sweep_inputs()) == expected);
+    std::int64_t largest = 0;
+    for (const obs::SpanRecord& s : pipeline.tracer()->spans()) {
+      if (std::string_view(s.name) == "logic-search") {
+        largest = std::max(largest, s.arg);
+      }
+    }
+    return largest;
+  };
+  EXPECT_EQ(largest_group(std::chrono::microseconds(0)), 1);
+  EXPECT_GT(largest_group(std::chrono::microseconds(100)), 1);
+}
+
+// When the archive blocks, the pair phase batches Algorithm 1 across a group
+// of proxies. A fault in a shared batch must still fail only the proxies
+// whose own probes fail: the group falls back to one batch per proxy.
+struct FaultSweep {
+  std::vector<ContractAnalysis> reports;
+  std::int64_t inflight = 0;
+  LandscapeStats stats;
+  std::uint64_t injected = 0;
+};
+
+FaultSweep fault_sweep(const Population& pop,
+                       const chain::FaultProfile& profile,
+                       unsigned archive_inflight) {
+  chain::ArchiveNode inner(*pop.chain);
+  chain::FaultInjectingArchiveNode faulty(inner, profile);
+  SleepingArchiveNode slow(faulty, std::chrono::microseconds(100));
+  PipelineConfig config;
+  config.threads = 4;
+  config.archive_inflight = archive_inflight;
+  config.archive_node = &slow;
+  config.retry.base_delay_us = 1;
+  config.retry.max_delay_us = 20;
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+  FaultSweep out;
+  out.reports = pipeline.run(pop.sweep_inputs());
+  out.inflight = archive_inflight_gauge(pipeline);
+  out.stats = pipeline.summarize(out.reports);
+  out.injected = faulty.injected_faults();
+  return out;
+}
+
+TEST_F(ArchiveFanOutTest, PermanentFaultsInGroupedBatchesQuarantineAsTheNarrowRun) {
+  Population pop = make_population(3'000);
+  chain::FaultProfile profile;
+  profile.seed = 41;
+  profile.transient_rate = 0.10;
+  profile.failures_per_fault = 1'000'000;  // outlasts every retry budget
+  profile.fault_get_code = false;
+  const FaultSweep narrow = fault_sweep(pop, profile, 4);  // == threads: never fans out
+  const FaultSweep wide = fault_sweep(pop, profile, 16);
+
+  EXPECT_EQ(narrow.inflight, 4);
+  EXPECT_EQ(wide.inflight, 16);
+  EXPECT_GT(wide.injected, 0u) << "fault injection never engaged";
+  ASSERT_GT(narrow.stats.quarantined, 0u);
+  EXPECT_EQ(wide.stats.quarantined, narrow.stats.quarantined);
+  ASSERT_EQ(wide.reports.size(), narrow.reports.size());
+  for (std::size_t i = 0; i < wide.reports.size(); ++i) {
+    const ContractAnalysis& w = wide.reports[i];
+    const ContractAnalysis& n = narrow.reports[i];
+    ASSERT_EQ(w.quarantined(), n.quarantined()) << "contract " << i;
+    if (n.quarantined()) {
+      EXPECT_EQ(w.error->kind, n.error->kind) << "contract " << i;
+      EXPECT_EQ(w.error->phase, n.error->phase) << "contract " << i;
+    } else {
+      EXPECT_TRUE(w == n) << "contract " << i << " diverged";
+    }
+  }
+}
+
+TEST_F(ArchiveFanOutTest, MixedTransientFaultsInGroupedBatchesMatchTheFaultFreeSweep) {
+  Population pop = make_population(3'000);
+  const auto expected = reference(pop);
+  chain::FaultProfile profile;  // test_resilience's 10% mixed profile
+  profile.seed = 1234;
+  profile.transient_rate = 0.04;
+  profile.timeout_rate = 0.03;
+  profile.rate_limit_rate = 0.02;
+  profile.stale_read_rate = 0.01;
+  const FaultSweep wide = fault_sweep(pop, profile, 16);
+
+  EXPECT_EQ(wide.inflight, 16);
+  EXPECT_GT(wide.injected, 0u) << "fault injection never engaged";
+  EXPECT_EQ(wide.stats.quarantined, 0u);
+  EXPECT_EQ(wide.stats.rpc_giveups, 0u);
+  EXPECT_EQ(wide.stats.breaker_trips, 0u);
+  ASSERT_EQ(wide.reports.size(), expected.size());
+  for (std::size_t i = 0; i < wide.reports.size(); ++i) {
+    EXPECT_TRUE(wide.reports[i] == expected[i])
+        << "contract " << i << " diverged";
   }
 }
 

@@ -8,7 +8,7 @@
 #   test-regex defaults to the fault-injection + concurrency suites.
 set -eu
 
-TESTS="${1:-test_resilience|test_archive_batch|test_thread_pool|test_pipeline|test_analysis_cache|test_obs_metrics|test_obs_trace|test_obs_export|test_static_analysis|test_static_tier|test_layout|test_fuzz|test_store_journal|test_durable_sweep|test_vfs_fault|test_journal_fuzz|test_query_service|test_collisions|test_upgrade_drift}"
+TESTS="${1:-test_resilience|test_archive_batch|test_thread_pool|test_pipeline|test_analysis_cache|test_obs_metrics|test_obs_trace|test_obs_export|test_static_analysis|test_static_tier|test_layout|test_fuzz|test_store_journal|test_durable_sweep|test_vfs_fault|test_journal_fuzz|test_query_service|test_collisions|test_upgrade_drift|test_logic_finder}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 # CI runs one flavor per job; default is both.
 FLAVORS="${PROXION_SANITIZE_FLAVORS:-address thread}"
@@ -23,7 +23,7 @@ for flavor in ${FLAVORS}; do
     test_analysis_cache test_obs_metrics test_obs_trace test_obs_export \
     test_static_analysis test_static_tier test_layout test_fuzz \
     test_store_journal test_durable_sweep test_vfs_fault test_journal_fuzz \
-    test_query_service test_collisions test_upgrade_drift
+    test_query_service test_collisions test_upgrade_drift test_logic_finder
 
   echo "== ctest under ${flavor} sanitizer =="
   if [ "${flavor}" = "thread" ]; then
