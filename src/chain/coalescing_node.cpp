@@ -24,6 +24,11 @@ obs::Counter& global_misses() {
       obs::Registry::global().counter("chain.coalescer.misses");
   return c;
 }
+obs::Counter& global_inflight_waits() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("chain.coalescer.inflight_waits");
+  return c;
+}
 
 }  // namespace
 
@@ -185,7 +190,7 @@ std::vector<U256> CoalescingArchiveNode::get_storage_at_many(
       const SlotKey key{q.account, q.slot};
       Shard& shard = shard_for(key);
       std::unique_lock<std::mutex> lock(shard.mu);
-      inflight_waits_.fetch_add(1, std::memory_order_relaxed);
+      global_inflight_waits().add(1);
       shard.cv.wait(lock, [&] {
         const auto fl = shard.inflight.find(key);
         return fl == shard.inflight.end() || fl->second.count(q.block) == 0;
@@ -219,7 +224,6 @@ CoalescingArchiveNode::Stats CoalescingArchiveNode::stats() const noexcept {
   st.exact_hits = exact_hits_.load(std::memory_order_relaxed);
   st.interval_hits = interval_hits_.load(std::memory_order_relaxed);
   st.misses = misses_.load(std::memory_order_relaxed);
-  st.inflight_waits = inflight_waits_.load(std::memory_order_relaxed);
   return st;
 }
 

@@ -75,7 +75,6 @@ class CoalescingArchiveNode final : public IArchiveNode {
     std::uint64_t exact_hits = 0;     // probe height had a cached point
     std::uint64_t interval_hits = 0;  // answered from an unchanged interval
     std::uint64_t misses = 0;         // forwarded to the inner node
-    std::uint64_t inflight_waits = 0; // blocked on another thread's fetch
   };
   Stats stats() const noexcept;
 
@@ -127,7 +126,6 @@ class CoalescingArchiveNode final : public IArchiveNode {
   mutable std::atomic<std::uint64_t> exact_hits_{0};
   mutable std::atomic<std::uint64_t> interval_hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> inflight_waits_{0};
 };
 
 }  // namespace proxion::chain

@@ -17,9 +17,27 @@
 #include <thread>
 
 #include "chain/archive_node.h"
+#include "obs/metrics.h"
 #include "util/resilience.h"
 
 namespace proxion::chain {
+
+namespace detail {
+/// Process-wide resilience totals, aggregated across every
+/// ResilientArchiveNode; registered by the first node built, so /metrics
+/// shows them at zero before any fault.
+struct RpcCounters {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& retries = reg.counter("chain.rpc.retries");
+  obs::Counter& faults = reg.counter("chain.rpc.faults");
+  obs::Counter& giveups = reg.counter("chain.rpc.giveups");
+  obs::Counter& breaker_trips = reg.counter("chain.rpc.breaker_trips");
+};
+inline const RpcCounters& global_rpc_counters() {
+  static const RpcCounters c;
+  return c;
+}
+}  // namespace detail
 
 class ResilientArchiveNode final : public IArchiveNode {
  public:
@@ -88,6 +106,7 @@ class ResilientArchiveNode final : public IArchiveNode {
     for (unsigned attempt = 1;; ++attempt) {
       if (!breaker_.allow()) {
         giveups_.fetch_add(1, std::memory_order_relaxed);
+        global_.giveups.add(1);
         throw RpcError(RpcErrorKind::kCircuitOpen,
                        std::string("circuit open, fast-failing ") + what);
       }
@@ -97,15 +116,18 @@ class ResilientArchiveNode final : public IArchiveNode {
         return result;
       } catch (const RpcError& e) {
         faults_.fetch_add(1, std::memory_order_relaxed);
-        breaker_.on_failure();
+        global_.faults.add(1);
+        if (breaker_.on_failure()) global_.breaker_trips.add(1);
         if (!e.retriable() || attempt >= policy_.max_attempts) {
           giveups_.fetch_add(1, std::memory_order_relaxed);
+          global_.giveups.add(1);
           throw RpcError(RpcErrorKind::kExhausted,
                          std::string(what) + " failed after " +
                              std::to_string(attempt) +
                              " attempts; last error: " + e.what());
         }
         retries_.fetch_add(1, std::memory_order_relaxed);
+        global_.retries.add(1);
         if (!backoff) {
           backoff.emplace(policy_,
                           jitter_salt_.fetch_add(1, std::memory_order_relaxed));
@@ -123,6 +145,7 @@ class ResilientArchiveNode final : public IArchiveNode {
   mutable std::atomic<std::uint64_t> retries_{0};
   mutable std::atomic<std::uint64_t> faults_{0};
   mutable std::atomic<std::uint64_t> giveups_{0};
+  const detail::RpcCounters& global_ = detail::global_rpc_counters();
 };
 
 }  // namespace proxion::chain

@@ -392,6 +392,10 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
                 "run on the " +
                     std::to_string(workers.size()) + " CPU workers");
     }
+    if (config_.telemetry.enabled) {
+      registry_.gauge("sweep.archive_inflight")
+          .set(static_cast<std::int64_t>(archive_workers->size()));
+    }
     archive_workers->parallel_for(
         inputs.size() - first_wave,
         [&](std::size_t k) { fetch_input(first_wave + k, nullptr); });
@@ -503,28 +507,12 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   std::unordered_map<std::string, const ProxyReport*> verdicts;
   std::unordered_map<std::string, ErrorRecord> failed_keys;
   verdicts.reserve(unique_indices.size());
-  last_static_skips_ = 0;
-  last_static_mismatches_ = 0;
-  last_layout_inferred_ = 0;
-  last_layout_reliable_ = 0;
   for (std::size_t u = 0; u < unique_indices.size(); ++u) {
     const std::size_t i = unique_indices[u];
     if (unique_errors[u]) {
       out[i].error = *unique_errors[u];
       failed_keys.emplace(key_of(i), *unique_errors[u]);
     } else {
-      switch (unique_reports[u].static_triage) {
-        case StaticTriage::kSkippedNoDelegatecall:
-        case StaticTriage::kSkippedDeadDelegatecall:
-        case StaticTriage::kSkippedMinimalProxy:
-          ++last_static_skips_;
-          break;
-        default:
-          break;
-      }
-      if (unique_reports[u].static_mismatch != 0) ++last_static_mismatches_;
-      if (unique_reports[u].layout_inferred) ++last_layout_inferred_;
-      if (unique_reports[u].layout_reliable) ++last_layout_reliable_;
       verdicts.emplace(key_of(i), &unique_reports[u]);
     }
   }
@@ -738,62 +726,11 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   }
 
   const auto t_end = std::chrono::steady_clock::now();
-  last_source_free_pairs_ = 0;
-  for (const ContractAnalysis& a : out) {
-    last_source_free_pairs_ += a.collision_pairs_source_free;
-  }
   last_run_ms_ = ms_between(t_start, t_end);
   last_fetch_ms_ = ms_between(t_start, t_fetch);
   last_proxy_ms_ = ms_between(t_fetch, t_proxy);
   last_pairs_ms_ = ms_between(t_proxy, t_end);
-  last_pair_hits_ = pair_cache_->hits();
-  last_pair_misses_ = pair_cache_->misses();
-  last_pair_waits_ = pair_cache_->waits();
 
-  if (config_.telemetry.enabled) {
-    // Gauge snapshots of the run-scoped cache totals and the (monotonic)
-    // resilience counters: set(), not add(), so repeat runs don't
-    // double-count in the registry snapshot.
-    registry_.gauge("sweep.pair_cache.hits")
-        .set(static_cast<std::int64_t>(last_pair_hits_));
-    registry_.gauge("sweep.pair_cache.misses")
-        .set(static_cast<std::int64_t>(last_pair_misses_));
-    registry_.gauge("sweep.pair_cache.waits")
-        .set(static_cast<std::int64_t>(last_pair_waits_));
-    registry_.gauge("sweep.static.skips")
-        .set(static_cast<std::int64_t>(last_static_skips_));
-    registry_.gauge("sweep.static.mismatches")
-        .set(static_cast<std::int64_t>(last_static_mismatches_));
-    registry_.gauge("sweep.layout.inferred")
-        .set(static_cast<std::int64_t>(last_layout_inferred_));
-    registry_.gauge("sweep.layout.reliable")
-        .set(static_cast<std::int64_t>(last_layout_reliable_));
-    registry_.gauge("sweep.layout.source_free_pairs")
-        .set(static_cast<std::int64_t>(last_source_free_pairs_));
-    registry_.gauge("sweep.archive_inflight")
-        .set(static_cast<std::int64_t>(archive_workers->size()));
-    if (resilient_) {
-      registry_.gauge("sweep.rpc.retries")
-          .set(static_cast<std::int64_t>(resilient_->retries()));
-      registry_.gauge("sweep.rpc.faults")
-          .set(static_cast<std::int64_t>(resilient_->faults_seen()));
-      registry_.gauge("sweep.rpc.giveups")
-          .set(static_cast<std::int64_t>(resilient_->giveups()));
-      registry_.gauge("sweep.rpc.breaker_trips")
-          .set(static_cast<std::int64_t>(resilient_->breaker().trips()));
-    }
-    if (coalescer_) {
-      const chain::CoalescingArchiveNode::Stats cs = coalescer_->stats();
-      registry_.gauge("sweep.coalescer.exact_hits")
-          .set(static_cast<std::int64_t>(cs.exact_hits));
-      registry_.gauge("sweep.coalescer.interval_hits")
-          .set(static_cast<std::int64_t>(cs.interval_hits));
-      registry_.gauge("sweep.coalescer.misses")
-          .set(static_cast<std::int64_t>(cs.misses));
-      registry_.gauge("sweep.coalescer.inflight_waits")
-          .set(static_cast<std::int64_t>(cs.inflight_waits));
-    }
-  }
   // Trace files are written after t_end so export cost never pollutes the
   // phase timings; the parallel_for joins above provide the quiescence the
   // tracer's bulk read requires.
@@ -819,6 +756,15 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
                           std::string(to_string(a.error->kind)),
                       a.address.to_hex());
     }
+  }
+  // The run's events, added once: counters are cumulative across runs and
+  // never reset, so a scrape after any number of runs or shards reads the
+  // totals.
+  if (config_.telemetry.enabled) {
+    registry_.counter("sweep.quarantined").add(quarantined_now);
+    registry_.counter("sweep.pair_cache.hits").add(pair_cache_->hits());
+    registry_.counter("sweep.pair_cache.misses").add(pair_cache_->misses());
+    registry_.counter("sweep.pair_cache.waits").add(pair_cache_->waits());
   }
   if (status != nullptr) {
     status->quarantined.fetch_add(quarantined_now, std::memory_order_relaxed);
@@ -860,9 +806,11 @@ void AnalysisPipeline::annotate_run_stats(LandscapeStats& stats) const {
   stats.phase_proxy_ms = last_proxy_ms_;
   stats.phase_pairs_ms = last_pairs_ms_;
   if (cache_) stats.cache = cache_->stats();
-  stats.pair_cache_hits = last_pair_hits_;
-  stats.pair_cache_misses = last_pair_misses_;
-  stats.pair_cache_waits = last_pair_waits_;
+  if (pair_cache_) {
+    stats.pair_cache_hits = pair_cache_->hits();
+    stats.pair_cache_misses = pair_cache_->misses();
+    stats.pair_cache_waits = pair_cache_->waits();
+  }
   if (h_contract_ != nullptr) {
     stats.contract_latency_ns = h_contract_->summary();
     stats.rpc_latency_ns = h_rpc_->summary();
@@ -881,10 +829,6 @@ void AnalysisPipeline::shed_cross_run_state() {
   // StorageLayout side table — a resumed lap must re-infer layouts so its
   // reports stay bit-identical with a cold run over the same population.
   if (cache_) cache_->clear();
-  // Gauges are last-writer-wins facts about ONE run; a serving-mode daemon
-  // shedding state between sweeps must not keep exposing the previous run's
-  // cache/RPC totals until the next run happens to overwrite them.
-  registry_.reset_gauges("sweep.");
   // The coalescer's sealed observations assume the chain was not mutated;
   // shedding is exactly the moment that assumption is surrendered (the
   // durable driver may feed a mutated chain into the next pass).

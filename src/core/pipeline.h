@@ -435,9 +435,9 @@ class AnalysisPipeline {
   }
 
   /// This pipeline's metric registry (per-instance, distinct from
-  /// obs::Registry::global()): the sweep histograms plus end-of-run gauge
-  /// snapshots of the cache/resilience totals. Exposed for benches that dump
-  /// a full snapshot into BENCH_results.json.
+  /// obs::Registry::global()): the per-run sweep histograms, the never-reset
+  /// `sweep.*` event counters and the `sweep.archive_inflight` gauge.
+  /// Exposed for benches that dump a full snapshot into BENCH_results.json.
   const obs::Registry& registry() const noexcept { return registry_; }
 
   /// The span tracer (null unless telemetry.enabled and an export path was
@@ -562,16 +562,6 @@ class AnalysisPipeline {
   double last_fetch_ms_ = 0.0;
   double last_proxy_ms_ = 0.0;
   double last_pairs_ms_ = 0.0;
-  std::uint64_t last_pair_hits_ = 0;
-  std::uint64_t last_pair_misses_ = 0;
-  std::uint64_t last_pair_waits_ = 0;
-  /// Static-tier totals over the last run's unique blobs (gauge mirrors).
-  std::uint64_t last_static_skips_ = 0;
-  std::uint64_t last_static_mismatches_ = 0;
-  /// Layout-inference totals over the last run (gauge mirrors).
-  std::uint64_t last_layout_inferred_ = 0;
-  std::uint64_t last_layout_reliable_ = 0;
-  std::uint64_t last_source_free_pairs_ = 0;
 };
 
 }  // namespace proxion::core

@@ -283,6 +283,20 @@ std::uint8_t layout_vs_emulation_mismatch(
   return bits;
 }
 
+/// Process-wide static-triage totals: detections the static tier answered
+/// without emulating, and emulated detections whose static or layout claims
+/// the emulation contradicted (an always-zero invariant on sound corpora).
+obs::Counter& triage_skips() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("static.triage.skips");
+  return c;
+}
+obs::Counter& triage_mismatches() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("static.triage.mismatches");
+  return c;
+}
+
 }  // namespace
 
 std::uint32_t ProxyDetector::craft_probe_selector(
@@ -378,6 +392,7 @@ ProxyReport ProxyDetector::analyze_disassembled(
   if (!report.has_delegatecall_opcode) {
     if (config_.static_tier.enabled) {
       report.static_triage = StaticTriage::kSkippedNoDelegatecall;
+      triage_skips().add(1);
     }
     return report;
   }
@@ -405,6 +420,7 @@ ProxyReport ProxyDetector::analyze_disassembled(
       report.logic_address = *st->minimal_proxy_target;
       report.logic_source = LogicSource::kHardcoded;
       report.standard = classify(report, code);
+      triage_skips().add(1);
       return report;
     }
     if (st->skip_dead(config_.emulation_gas, config_.step_limit)) {
@@ -412,6 +428,7 @@ ProxyReport ProxyDetector::analyze_disassembled(
       // halts cleanly within budget: emulation would report exactly the
       // default (kNotProxy, no delegatecall) — skip it.
       report.static_triage = StaticTriage::kSkippedDeadDelegatecall;
+      triage_skips().add(1);
       return report;
     }
     report.static_triage = StaticTriage::kEmulated;
@@ -511,6 +528,7 @@ ProxyReport ProxyDetector::analyze_disassembled(
       }
     }
   }
+  if (report.static_mismatch != 0) triage_mismatches().add(1);
   return report;
 }
 

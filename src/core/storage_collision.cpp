@@ -4,6 +4,7 @@
 
 #include "core/selector_extractor.h"
 #include "evm/interpreter.h"
+#include "obs/metrics.h"
 
 namespace proxion::core {
 
@@ -96,6 +97,9 @@ void StorageCollisionDetector::compare_family_layouts(
     logic_views = declared_families(*logic_src);
   } else {
     result.family_source_free = true;
+    static obs::Counter& source_free =
+        obs::Registry::global().counter("collision.pairs_source_free");
+    source_free.add(1);
     proxy_views = inferred_families(proxy_layout);
     logic_views = inferred_families(logic_layout);
   }

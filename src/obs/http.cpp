@@ -4,9 +4,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -15,6 +17,23 @@ namespace proxion::obs {
 namespace {
 
 constexpr std::size_t kMaxRequestBytes = 8192;  // headers incl.; GETs are tiny
+
+// Budget for a whole request read, and again for a whole response write, so
+// a client dripping or draining a byte per call cannot hold the one serving
+// thread for longer (a per-call socket timeout alone would let it).
+constexpr std::chrono::seconds kDeadline{2};
+using Clock = std::chrono::steady_clock;
+
+/// Sets socket timeout `opt` (SO_RCVTIMEO / SO_SNDTIMEO) to the time left
+/// until `deadline`; false once it has passed (a zero timeval = no timeout).
+bool arm_timeout(int fd, int opt, Clock::time_point deadline) {
+  const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+                        deadline - Clock::now()).count();
+  if (left <= 0) return false;
+  const timeval tv{left / 1'000'000, left % 1'000'000};
+  ::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof tv);
+  return true;
+}
 
 const char* status_text(int status) {
   switch (status) {
@@ -27,8 +46,9 @@ const char* status_text(int status) {
 }
 
 void send_all(int fd, const std::string& data) {
+  const Clock::time_point deadline = Clock::now() + kDeadline;
   std::size_t sent = 0;
-  while (sent < data.size()) {
+  while (sent < data.size() && arm_timeout(fd, SO_SNDTIMEO, deadline)) {
     // MSG_NOSIGNAL: a scraper that hung up mid-response must surface as an
     // error return, not a process-killing SIGPIPE.
     const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
@@ -115,20 +135,18 @@ void HttpServer::accept_loop() {
       // running_ before shutdown so the normal path reads false here.
       return;
     }
-    // Bound the time one stuck client can hold the single serve thread.
-    timeval tv{};
-    tv.tv_sec = 2;
-    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     serve_one(client);
     ::close(client);
   }
 }
 
 void HttpServer::serve_one(int client_fd) {
+  const Clock::time_point deadline = Clock::now() + kDeadline;
   std::string req;
   char buf[2048];
   while (req.size() < kMaxRequestBytes &&
-         req.find("\r\n\r\n") == std::string::npos) {
+         req.find("\r\n\r\n") == std::string::npos &&
+         arm_timeout(client_fd, SO_RCVTIMEO, deadline)) {
     const ssize_t n = ::recv(client_fd, buf, sizeof buf, 0);
     if (n <= 0) break;
     req.append(buf, static_cast<std::size_t>(n));

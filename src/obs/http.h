@@ -8,7 +8,9 @@
 // Threading: one accept thread, requests handled inline on it (scrapes are
 // serial and cheap; Prometheus scrapes one target at a time). Handlers run
 // on that thread and must be thread-safe against the pipeline (ours render
-// from racy-by-design snapshots, which are).
+// from racy-by-design snapshots, which are). A slow or stalled client holds
+// that thread for at most 2 s to deliver its request and 2 s to take the
+// response; past either deadline the connection is dropped.
 #pragma once
 
 #include <atomic>

@@ -840,8 +840,10 @@ StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
 
   obs::Registry& reg = obs::Registry::global();
   static obs::Counter& inferred = reg.counter("layout.inferred");
+  static obs::Counter& reliable = reg.counter("layout.reliable");
   static obs::Counter& unresolved = reg.counter("layout.unresolved_accesses");
   inferred.add(1);
+  if (layout.reliable()) reliable.add(1);
   unresolved.add(layout.unresolved_accesses);
 
   return layout;

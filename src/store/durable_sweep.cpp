@@ -68,10 +68,9 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
                                        Mode mode) {
   DurableSweepResult result;
   util::Vfs& vfs = config_.vfs != nullptr ? *config_.vfs : util::Vfs::real();
-  // Per-sweep gauges start clean (a prior degraded sweep on the same
+  // The degraded gauge starts clean (a prior degraded sweep on the same
   // registry must not leak into this one's report).
   metrics_.gauge("sweep.degraded").set(0);
-  metrics_.gauge("sweep.selfheal_shards").set(0);
   if (config_.status != nullptr) {
     config_.status->degraded.store(false, std::memory_order_relaxed);
   }
@@ -542,8 +541,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       effective == Mode::kIncremental ? result.recomputed : 0;
   stats.sweep_degraded = result.degraded ? 1 : 0;
   stats.selfheal_shards = heal_gaps;
-  metrics_.gauge("sweep.selfheal_shards").set(
-      static_cast<std::int64_t>(heal_gaps));
   result.stats = std::move(stats);
   return result;
 }

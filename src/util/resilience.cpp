@@ -91,7 +91,7 @@ void CircuitBreaker::on_success() {
   if (transitioned) notify(State::kClosed);
 }
 
-void CircuitBreaker::on_failure() {
+bool CircuitBreaker::on_failure() {
   bool tripped = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -109,6 +109,7 @@ void CircuitBreaker::on_failure() {
     }
   }
   if (tripped) notify(State::kOpen);
+  return tripped;
 }
 
 void CircuitBreaker::reset() {

@@ -73,7 +73,8 @@ class CircuitBreaker {
   /// resolves via on_success/on_failure.
   bool allow();
   void on_success();
-  void on_failure();
+  /// Records a failed call; true when this failure tripped the breaker.
+  bool on_failure();
 
   /// Back to closed with zeroed failure count (e.g. when a resume pass
   /// declares the backend healthy again). Trip count is preserved.

@@ -322,7 +322,8 @@ TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatGroup) {
   EXPECT_EQ(healed.recomputed, victim_group);
   EXPECT_EQ(healed.replayed, inputs.size() - victim_group);
   EXPECT_EQ(healed.stats.selfheal_shards, 1u);
-  EXPECT_EQ(reg.gauge("sweep.selfheal_shards").value(), 1);
+  // The fresh registry's corrupt-gap counter is the resume's delta.
+  EXPECT_EQ(reg.counter("store.journal.corrupt_gaps").value(), 1u);
   expect_same_verdicts(healed.stats, base.stats);
 
   // The corrupt gap stays in the file (append-only journal), but a salvage

@@ -8,11 +8,14 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -20,12 +23,14 @@
 #include <thread>
 #include <vector>
 
+#include "chain/fault_injection.h"
 #include "core/pipeline.h"
 #include "datagen/population.h"
 #include "obs/eventlog.h"
 #include "obs/export.h"
 #include "obs/http.h"
 #include "obs/metrics.h"
+#include "store/durable_sweep.h"
 
 namespace {
 
@@ -482,18 +487,37 @@ TEST(EventLogTest, JsonEscapesQuotesBackslashesAndControlChars) {
 // ---------------------------------------------------------------------------
 // HTTP server over a real loopback socket.
 
-// Blocking one-shot GET against 127.0.0.1:port; returns the full response
-// (status line + headers + body) or "" on connect failure.
-std::string http_get(std::uint16_t port, const std::string& target) {
+// A socket connected to 127.0.0.1:port, or -1. `rcvbuf` > 0 shrinks the
+// receive buffer (set before connect, so the advertised window stays small).
+int connect_loopback(std::uint16_t port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     ::close(fd);
-    return "";
+    return -1;
+  }
+  return fd;
+}
+
+// Blocking one-shot GET against 127.0.0.1:port; returns the full response
+// (status line + headers + body) or "" on connect failure. `timeout_s` > 0
+// bounds each receive, so a wedged server yields a short or empty response
+// instead of a hung test.
+std::string http_get(std::uint16_t port, const std::string& target,
+                     int timeout_s = 0) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return "";
+  if (timeout_s > 0) {
+    timeval tv{};
+    tv.tv_sec = timeout_s;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   }
   const std::string req =
       "GET " + target + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
@@ -569,6 +593,82 @@ TEST(HttpServerTest, QueryStringIsSplitOffAndPassedToHandler) {
   server.stop();
 }
 
+// A stuck client may hold the single serving thread for the read deadline
+// (2 s) or the write deadline (2 s), not longer; this margin absorbs
+// scheduling noise on a loaded test host.
+constexpr double kDeadlinePlusMarginS = 2.0 + 1.5;
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+HttpResponse ok_body(const std::string&) {
+  HttpResponse r;
+  r.body = "ok\n";
+  return r;
+}
+
+TEST(HttpServerTest, SlowDripClientIsDroppedAtTheReadDeadline) {
+  HttpServer server;
+  server.handle("/x", ok_body);
+  ASSERT_TRUE(server.start(0));
+
+  // One byte every 250 ms: every recv() returns well inside any per-call
+  // timeout, and the whole request would take about 25 s to arrive.
+  const int drip = connect_loopback(server.port());
+  ASSERT_GE(drip, 0);
+  std::atomic<bool> stop{false};
+  std::thread dripper([&] {
+    const std::string req = "GET /x HTTP/1.1\r\nHost: 127.0.0.1\r\nX-Pad: " +
+                            std::string(64, 'a') + "\r\n\r\n";
+    for (std::size_t i = 0; i < req.size() && !stop.load(); ++i) {
+      if (::send(drip, &req[i], 1, MSG_NOSIGNAL) <= 0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    }
+  });
+  // Let the server accept the drip connection before the second client.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string resp = http_get(server.port(), "/x", 6);
+  const double waited = seconds_since(t0);
+  stop.store(true);
+  dripper.join();
+  ::close(drip);
+  server.stop();
+
+  EXPECT_NE(resp.find("HTTP/1.1 200"), std::string::npos);
+  EXPECT_LT(waited, kDeadlinePlusMarginS);
+}
+
+TEST(HttpServerTest, ClientThatNeverReadsIsDroppedAtTheWriteDeadline) {
+  HttpServer server;
+  server.handle("/big", [](const std::string&) {
+    HttpResponse r;
+    r.body.assign(std::size_t{16} << 20, 'x');  // far past any socket buffer
+    return r;
+  });
+  server.handle("/x", ok_body);
+  ASSERT_TRUE(server.start(0));
+
+  const int hog = connect_loopback(server.port(), /*rcvbuf=*/4096);
+  ASSERT_GE(hog, 0);
+  const std::string req = "GET /big HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  ASSERT_EQ(::send(hog, req.data(), req.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(req.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string resp = http_get(server.port(), "/x", 6);
+  const double waited = seconds_since(t0);
+  ::close(hog);  // never read a byte
+  server.stop();
+
+  EXPECT_NE(resp.find("HTTP/1.1 200"), std::string::npos);
+  EXPECT_LT(waited, kDeadlinePlusMarginS);
+}
+
 TEST(HttpServerTest, StartFailsOnPortAlreadyInUse) {
   HttpServer a;
   a.handle("/x", [](const std::string&) { return HttpResponse{}; });
@@ -583,9 +683,9 @@ TEST(HttpServerTest, StartFailsOnPortAlreadyInUse) {
 // Scrape-during-record concurrency (TSan target).
 
 TEST(ExporterTest, ServedSweepExposesLayoutCounters) {
-  // Satellite of the layout-inference PR: a served sweep's /metrics body
-  // must carry the layout counters (global registry: per-inference bumps)
-  // and the sweep.layout.* gauges (pipeline registry: last-run snapshot).
+  // A served sweep's /metrics body carries the layout-inference counters
+  // (global registry, one add per inferred layout and per source-free pair
+  // comparison).
   proxion::datagen::PopulationSpec spec;
   spec.total_contracts = 150;
   proxion::datagen::Population pop =
@@ -602,14 +702,132 @@ TEST(ExporterTest, ServedSweepExposesLayoutCounters) {
   exporter.tick();
   const std::string body = exporter.render_prometheus();
   EXPECT_NE(body.find("proxion_layout_inferred_total"), std::string::npos);
-  EXPECT_NE(body.find("proxion_sweep_layout_inferred"), std::string::npos);
-  EXPECT_NE(body.find("proxion_sweep_layout_reliable"), std::string::npos);
-  EXPECT_NE(body.find("proxion_sweep_layout_source_free_pairs"),
+  EXPECT_NE(body.find("proxion_layout_reliable_total"), std::string::npos);
+  EXPECT_NE(body.find("proxion_collision_pairs_source_free_total"),
             std::string::npos);
 
   const auto series = exporter.series();
   ASSERT_FALSE(series.empty());
-  EXPECT_GT(series.back().merged.counters.at("layout.inferred"), 0u);
+  const auto& counters = series.back().merged.counters;
+  EXPECT_GT(counters.at("layout.inferred"), 0u);
+  EXPECT_GT(counters.at("layout.reliable"), 0u);
+  EXPECT_GT(counters.at("collision.pairs_source_free"), 0u);
+}
+
+// Renders the global and `pipeline` registries the way a served sweep does
+// and parses the exposition back.
+std::map<std::string, double> scrape(
+    const proxion::core::AnalysisPipeline& pipeline) {
+  ExporterConfig econfig;
+  econfig.interval_ms = 0;
+  Exporter exporter({&Registry::global(), &pipeline.registry()}, econfig);
+  exporter.tick();
+  return parse_prometheus(exporter.render_prometheus());
+}
+
+TEST(ExporterTest, DurableSweepKeepsSweepCountersOnMetrics) {
+  // A durable sweep sheds the pipeline's cross-run state after every shard.
+  // The sweep's totals must still read on /metrics afterwards: each figure
+  // lives in one counter that nothing resets.
+  proxion::datagen::PopulationSpec spec;
+  spec.total_contracts = 900;
+  proxion::datagen::Population pop =
+      proxion::datagen::PopulationGenerator().generate(spec);
+  const auto inputs = pop.sweep_inputs();
+
+  proxion::core::PipelineConfig config;
+  config.threads = 2;
+  proxion::core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "proxion_obs_export_tests";
+  std::filesystem::create_directories(dir);
+  proxion::store::DurableSweepConfig sweep_config;
+  sweep_config.journal_path = (dir / "counters.journal").string();
+  std::filesystem::remove(sweep_config.journal_path);
+  std::filesystem::remove(
+      proxion::store::manifest_path_for(sweep_config.journal_path));
+  sweep_config.shard_size = 300;
+  Registry sweep_metrics;
+  sweep_config.registry = &sweep_metrics;
+  ASSERT_TRUE(sweep_config.shed_between_shards);  // the default under test
+  proxion::store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources,
+                                     sweep_config);
+  const proxion::store::DurableSweepResult first = sweep.run(inputs);
+  ASSERT_TRUE(first.error.empty()) << first.error;
+  ASSERT_GE(first.shards_run, 2u);
+
+  const auto s1 = scrape(pipeline);
+  const char* const kTotals[] = {
+      "proxion_sweep_pair_cache_hits_total",
+      "proxion_sweep_pair_cache_misses_total",
+      "proxion_static_triage_skips_total",
+      "proxion_layout_reliable_total",
+      "proxion_collision_pairs_source_free_total",
+  };
+  for (const char* name : kTotals) {
+    ASSERT_TRUE(s1.count(name) != 0) << name << " missing from /metrics";
+    EXPECT_GT(s1.at(name), 0.0) << name;
+  }
+  EXPECT_GT(first.stats.pair_cache_hits, 0u);
+  EXPECT_EQ(s1.at("proxion_sweep_pair_cache_hits_total"),
+            static_cast<double>(first.stats.pair_cache_hits));
+  // The in-process archive never blocks: the window is the CPU pool.
+  ASSERT_TRUE(s1.count("proxion_sweep_archive_inflight") != 0);
+  EXPECT_EQ(s1.at("proxion_sweep_archive_inflight"), 2.0);
+
+  // A second lap adds to the totals; it never lowers them.
+  const proxion::store::DurableSweepResult lap = sweep.incremental(inputs);
+  ASSERT_TRUE(lap.error.empty()) << lap.error;
+  const auto s2 = scrape(pipeline);
+  for (const char* name : kTotals) {
+    ASSERT_TRUE(s2.count(name) != 0) << name << " missing after a lap";
+    EXPECT_GE(s2.at(name), s1.at(name)) << name;
+  }
+}
+
+TEST(ExporterTest, QuarantinedCounterMatchesLandscapeStats) {
+  // docs/OPERATIONS.md §4 tells operators to alert on
+  // proxion_sweep_quarantined; permanent archive faults must show there.
+  proxion::datagen::PopulationSpec spec;
+  spec.total_contracts = 300;
+  proxion::datagen::Population pop =
+      proxion::datagen::PopulationGenerator().generate(spec);
+  proxion::chain::ArchiveNode inner(*pop.chain);
+  proxion::chain::FaultProfile profile;
+  profile.seed = 41;
+  profile.transient_rate = 0.10;
+  profile.failures_per_fault = 1'000'000;  // outlasts every retry budget
+  proxion::chain::FaultInjectingArchiveNode faulty(inner, profile);
+
+  proxion::core::PipelineConfig config;
+  config.threads = 2;
+  config.archive_node = &faulty;
+  config.retry.base_delay_us = 1;
+  config.retry.max_delay_us = 20;
+  proxion::core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+  Registry& global = Registry::global();
+  auto rpc_total = [&](const char* name) {
+    return global.counter(std::string("chain.rpc.") + name).value();
+  };
+  const std::uint64_t retries0 = rpc_total("retries");
+  const std::uint64_t faults0 = rpc_total("faults");
+  const std::uint64_t giveups0 = rpc_total("giveups");
+  const std::uint64_t trips0 = rpc_total("breaker_trips");
+  const auto reports = pipeline.run(pop.sweep_inputs());
+  const proxion::core::LandscapeStats stats = pipeline.summarize(reports);
+  ASSERT_GT(stats.quarantined, 0u);
+
+  const auto samples = scrape(pipeline);
+  ASSERT_TRUE(samples.count("proxion_sweep_quarantined_total") != 0);
+  EXPECT_EQ(samples.at("proxion_sweep_quarantined_total"),
+            static_cast<double>(stats.quarantined));
+  // The process-wide chain.rpc.* counters moved by exactly this pipeline's
+  // resilience totals (no other archive stack ran meanwhile).
+  EXPECT_GT(stats.rpc_giveups, 0u);
+  EXPECT_EQ(rpc_total("retries") - retries0, stats.rpc_retries);
+  EXPECT_EQ(rpc_total("faults") - faults0, stats.rpc_faults);
+  EXPECT_EQ(rpc_total("giveups") - giveups0, stats.rpc_giveups);
+  EXPECT_EQ(rpc_total("breaker_trips") - trips0, stats.breaker_trips);
 }
 
 TEST(ExporterConcurrencyTest, ScrapesWhileRecordingAreRaceFree) {

@@ -23,7 +23,12 @@
 #      name in the spec's `| Field | Type | Meaning |` tables is an
 #      append_key() call site in src/serve/*.cpp and vice versa (the spec
 #      is normative — an undocumented field is as much a failure as a
-#      documented-but-gone one).
+#      documented-but-gone one);
+#   7. every `proxion_*` series in docs/OPERATIONS.md's "Metrics worth
+#      alerting on" table is rendered from a registry name under src/: with
+#      the `proxion_` prefix and any `_total` suffix stripped, it must equal
+#      some dotted string literal in src/ with `.` sanitized to `_` (an
+#      alert on a series nothing exports never fires).
 # Pure POSIX sh + grep/sed/awk; no network, no build required.
 set -eu
 cd "$(dirname "$0")/.."
@@ -221,6 +226,28 @@ for field in $api_fields; do
   fi
 done
 
+# ---- 7. OPERATIONS.md alert series vs registry names in src/ ------------
+alert_series=$(awk '/^\| Series \| Alert when \|/ { in_table = 1; next }
+                    in_table && !/^\|/ { in_table = 0 }
+                    in_table' docs/OPERATIONS.md |
+  sed -n 's/^| `\(proxion_[^`]*\)`.*/\1/p')
+if [ -z "$alert_series" ]; then
+  echo "docs_check: could not find the alert series table in docs/OPERATIONS.md" >&2
+  fail=1
+fi
+registry_names=$(grep -rhoE '"[a-z][a-z0-9_]*(\.[a-z0-9_]+)+"' src \
+  --include='*.h' --include='*.cpp' | tr -d '"' | tr '.' '_' | sort -u)
+for series in $alert_series; do
+  name=${series#proxion_}
+  name=${name%_total}
+  if ! printf '%s\n' "$registry_names" | grep -qx "$name"; then
+    echo "docs_check: OPERATIONS.md alerts on '$series' but no registry" \
+      "name under src/ renders it (no dotted literal reads '$name' once" \
+      "'.' becomes '_')" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
   echo "docs_check: all markdown links resolve;" \
     "all $(echo "$pipeline_fields" | wc -l | tr -d ' ') PipelineConfig and" \
@@ -230,6 +257,7 @@ if [ "$fail" -eq 0 ]; then
     "fields documented;" \
     "$(echo "$endpoints" | wc -l | tr -d ' ') endpoints and" \
     "$(echo "$service_knobs" | wc -l | tr -d ' ') service knobs wired;" \
-    "$(echo "$api_fields" | wc -l | tr -d ' ') /v1 fields in sync"
+    "$(echo "$api_fields" | wc -l | tr -d ' ') /v1 fields in sync;" \
+    "$(echo "$alert_series" | wc -l | tr -d ' ') alert series exported"
 fi
 exit "$fail"

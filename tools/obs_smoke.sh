@@ -127,9 +127,9 @@ for name in required:
     assert name in s1, f"missing required series {name}"
     assert name in s2, f"series {name} vanished between scrapes"
 
-# Shard progress and per-sweep RPC gauge families exist (exact members may
-# grow; assert the family).
-for prefix in ("proxion_sweep_shards_", "proxion_sweep_rpc_"):
+# Shard progress gauges and the process-wide RPC resilience counters exist
+# (exact members may grow; assert the family).
+for prefix in ("proxion_sweep_shards_", "proxion_chain_rpc_"):
     assert any(k.startswith(prefix) for k in s2), f"no series under {prefix}"
 
 # Counters must be monotone between scrapes; the sweep loop keeps running,
