@@ -116,7 +116,7 @@ int main() {
     core::AnalysisPipeline p2(*pop.chain, &pop.sources, config);
     store::DurableSweep healer(p2, *pop.chain, &pop.sources, sweep_config(vfs));
     store::DurableSweepResult res;
-    sum_resume_ms += time_ms([&] { res = healer.resume(inputs); });
+    sum_resume_ms += time_ms([&] { res = healer.incremental(inputs); });
     all_identical = all_identical && res.error.empty() && res.complete &&
                     same_verdicts(res.stats, ref.stats);
     committed_recomputed = committed_recomputed || res.replayed < committed;

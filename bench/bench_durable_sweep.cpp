@@ -132,7 +132,8 @@ int main() {
     kc.max_shards = 0;
     store::DurableSweep resumed(p, *pop.chain, &pop.sources, kc);
     store::DurableSweepResult merged;
-    const double resume_ms = time_ms([&] { merged = resumed.resume(inputs); });
+    const double resume_ms =
+        time_ms([&] { merged = resumed.incremental(inputs); });
 
     heading("kill after half the shards + resume");
     row("phase 1 (killed)", fmt(phase1_ms, " ms"));

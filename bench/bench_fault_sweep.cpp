@@ -5,13 +5,17 @@
 //   2. recovery at 5/10/20% injected fault rates — wall time, retries, and
 //      the bit-identity check (a faulty sweep with retries must produce
 //      exactly the fault-free reports, with nothing quarantined);
-//   3. outage + resume — retry budget exhausted on purpose, then the
-//      checkpoint/resume pass after the backend "recovers".
+//   3. outage + retry — retry budget exhausted on purpose during a durable
+//      sweep, then the journal's incremental() pass after the backend
+//      "recovers".
 // All headline numbers are merged into BENCH_results.json.
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
@@ -19,6 +23,8 @@
 #include "chain/archive_node.h"
 #include "chain/fault_injection.h"
 #include "core/pipeline.h"
+#include "store/durable_sweep.h"
+#include "store/journal.h"
 
 namespace {
 
@@ -135,7 +141,10 @@ int main() {
                 static_cast<double>(stats.rpc_retries));
   }
 
-  // ---- 3. outage + checkpoint/resume ------------------------------------
+  // ---- 3. outage + incremental retry ------------------------------------
+  // A durable sweep journals the outage's reports; after the backend heals,
+  // incremental() recomputes the quarantined records. The record sink keeps
+  // each address's latest report, which is what the journal holds.
   {
     chain::ArchiveNode inner(*pop.chain);
     FaultProfile profile;
@@ -148,22 +157,44 @@ int main() {
     config.archive_node = &faulty;
     config.retry = bench_retry();
     core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
-    std::vector<core::ContractAnalysis> reports;
-    const double outage_ms = time_ms([&] { reports = pipeline.run(inputs); });
-    const auto partial = pipeline.summarize(reports);
+    store::DurableSweepConfig sc;
+    sc.journal_path = (std::filesystem::temp_directory_path() /
+                       "proxion_bench_fault_sweep.journal")
+                          .string();
+    std::unordered_map<evm::Address, core::ContractAnalysis,
+                       evm::AddressHasher>
+        latest;
+    sc.record_sink = [&](std::span<const store::ContractRecord> records) {
+      for (const store::ContractRecord& r : records) {
+        latest[r.analysis.address] = r.analysis;
+      }
+    };
+    store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources, sc);
+    store::DurableSweepResult outage;
+    const double outage_ms = time_ms([&] { outage = sweep.run(inputs); });
+    const core::LandscapeStats partial = outage.stats;
 
     faulty.heal();
-    std::size_t still = 0;
+    store::DurableSweepResult healed;
     const double resume_ms =
-        time_ms([&] { still = pipeline.resume(inputs, reports); });
+        time_ms([&] { healed = sweep.incremental(inputs); });
+    const std::uint64_t still = healed.stats.quarantined;
+    std::vector<core::ContractAnalysis> reports;
+    for (const core::SweepInput& input : inputs) {
+      reports.push_back(latest[input.address]);
+    }
+    std::filesystem::remove(sc.journal_path);
+    std::filesystem::remove(store::manifest_path_for(sc.journal_path));
 
-    heading("outage (10% of requests dead) + resume after recovery");
+    heading("outage (10% of requests dead) + incremental after recovery");
     row("outage sweep", fmt(outage_ms, " ms"));
     row("quarantined by the outage", std::to_string(partial.quarantined));
     row("analyzed anyway (partial coverage)",
         std::to_string(partial.analyzed_contracts));
-    row("resume pass", fmt(resume_ms, " ms"));
-    row("still quarantined after resume", std::to_string(still));
+    row("incremental pass", fmt(resume_ms, " ms"));
+    row("recomputed by the incremental pass",
+        std::to_string(healed.recomputed));
+    row("still quarantined after it", std::to_string(still));
     row("converged to fault-free reports",
         identical(reports, raw_reports) ? "yes" : "NO");
     results.set("outage_sweep_ms", outage_ms);

@@ -9,9 +9,10 @@
 // Durable-sweep operations (see README "Operating a durable sweep"):
 //   --checkpoint <path>   stream the sweep through the checkpoint journal
 //   --shard-size <n>      contracts per shard (default 1024)
-//   --max-shards <n>      stop after n shards (simulates a kill; resume later)
-//   --resume              continue a checkpointed sweep from its journal
-//   --incremental         re-sweep only contracts whose fingerprint changed
+//   --max-shards <n>      stop after n shards (simulates a kill)
+//   --incremental         continue from the journal: finish a stopped sweep,
+//                         retry quarantined contracts, and re-sweep only
+//                         contracts whose fingerprint changed
 //
 // Live introspection (see README "Live introspection plane"):
 //   --serve <port>        serve /metrics, /healthz, /spans on 127.0.0.1
@@ -57,7 +58,6 @@ struct Options {
   std::string checkpoint;  // empty = classic monolithic run
   std::size_t shard_size = 1024;
   std::size_t max_shards = 0;
-  bool resume = false;
   bool incremental = false;
   int serve_port = -1;       // >= 0 = introspection-plane serving mode
   std::size_t sweeps = 0;    // serve mode: sweeps to run; 0 = until killed
@@ -89,8 +89,6 @@ bool parse_options(int argc, char** argv, Options& opt) {
       const char* v = value("--max-shards");
       if (v == nullptr) return false;
       opt.max_shards = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--resume") {
-      opt.resume = true;
     } else if (arg == "--incremental") {
       opt.incremental = true;
     } else if (arg == "--serve") {
@@ -119,15 +117,15 @@ bool parse_options(int argc, char** argv, Options& opt) {
     } else {
       std::fprintf(stderr,
                    "usage: landscape_survey [--checkpoint <journal> "
-                   "[--shard-size N] [--max-shards N] [--resume | "
-                   "--incremental]] [--serve PORT [--sweeps N]] "
+                   "[--shard-size N] [--max-shards N] [--incremental]] "
+                   "[--serve PORT [--sweeps N]] "
                    "[--follow [--blocks N]] "
                    "[--population N] [--events <path>]\n");
       return false;
     }
   }
-  if ((opt.resume || opt.incremental) && opt.checkpoint.empty()) {
-    std::fprintf(stderr, "--resume/--incremental require --checkpoint\n");
+  if (opt.incremental && opt.checkpoint.empty()) {
+    std::fprintf(stderr, "--incremental requires --checkpoint\n");
     return false;
   }
   return true;
@@ -225,6 +223,33 @@ void print_stats(const core::LandscapeStats& stats) {
                stats.emulation_steps.p50, stats.emulation_steps.p99);
 }
 
+/// The introspection plane both serving modes expose: /metrics and /healthz
+/// from the exporter and the live status block, /spans from the pipeline's
+/// span rings.
+void register_introspection(obs::HttpServer& server, obs::Exporter& exporter,
+                            const obs::SweepStatus& status,
+                            const core::AnalysisPipeline& pipeline) {
+  server.handle("/metrics", [&exporter](const std::string&) {
+    obs::HttpResponse r;
+    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    r.body = exporter.render_prometheus();
+    return r;
+  });
+  server.handle("/healthz", [&exporter, &status](const std::string&) {
+    obs::HttpResponse r;
+    r.content_type = "application/json";
+    r.body = exporter.render_healthz(&status);
+    return r;
+  });
+  server.handle("/spans", [&pipeline](const std::string&) {
+    obs::HttpResponse r;
+    r.content_type = "application/x-ndjson";
+    const obs::Tracer* tracer = pipeline.tracer();
+    r.body = tracer != nullptr ? tracer->ndjson_recent(4096) : std::string();
+    return r;
+  });
+}
+
 }  // namespace
 
 // --serve mode: keep sweeping the population while the introspection plane
@@ -251,25 +276,7 @@ int serve_loop(const Options& opt, datagen::Population& pop) {
   exporter.start();
 
   obs::HttpServer server;
-  server.handle("/metrics", [&exporter](const std::string&) {
-    obs::HttpResponse r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = exporter.render_prometheus();
-    return r;
-  });
-  server.handle("/healthz", [&exporter, &status](const std::string&) {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = exporter.render_healthz(&status);
-    return r;
-  });
-  server.handle("/spans", [&pipeline](const std::string&) {
-    obs::HttpResponse r;
-    r.content_type = "application/x-ndjson";
-    const obs::Tracer* tracer = pipeline.tracer();
-    r.body = tracer != nullptr ? tracer->ndjson_recent(4096) : std::string();
-    return r;
-  });
+  register_introspection(server, exporter, status, pipeline);
   if (!server.start(static_cast<std::uint16_t>(opt.serve_port))) {
     std::fprintf(stderr, "failed to bind 127.0.0.1:%d\n", opt.serve_port);
     return 1;
@@ -361,25 +368,7 @@ int follow_loop(const Options& opt, datagen::Population& pop) {
   const bool serving = opt.serve_port >= 0;
   if (serving) {
     exporter.start();
-    server.handle("/metrics", [&exporter](const std::string&) {
-      obs::HttpResponse r;
-      r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      r.body = exporter.render_prometheus();
-      return r;
-    });
-    server.handle("/healthz", [&exporter, &status](const std::string&) {
-      obs::HttpResponse r;
-      r.content_type = "application/json";
-      r.body = exporter.render_healthz(&status);
-      return r;
-    });
-    server.handle("/spans", [&pipeline](const std::string&) {
-      obs::HttpResponse r;
-      r.content_type = "application/x-ndjson";
-      const obs::Tracer* tracer = pipeline.tracer();
-      r.body = tracer != nullptr ? tracer->ndjson_recent(4096) : std::string();
-      return r;
-    });
+    register_introspection(server, exporter, status, pipeline);
     query.register_endpoints(server);
     follower.register_status_endpoint(server);
     if (!server.start(static_cast<std::uint16_t>(opt.serve_port))) {
@@ -538,9 +527,7 @@ int main(int argc, char** argv) {
     store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources, sweep_config);
     const std::vector<core::SweepInput> inputs = pop.sweep_inputs();
     store::DurableSweepResult result =
-        opt.incremental ? sweep.incremental(inputs)
-        : opt.resume    ? sweep.resume(inputs)
-                        : sweep.run(inputs);
+        opt.incremental ? sweep.incremental(inputs) : sweep.run(inputs);
     if (!result.error.empty()) {
       std::fprintf(stderr, "durable sweep failed: %s\n", result.error.c_str());
       return 1;
@@ -552,7 +539,7 @@ int main(int argc, char** argv) {
     }
     if (!result.complete) {
       std::printf("sweep stopped after %llu shard(s) (%llu contracts "
-                  "committed to %s); rerun with --resume to finish\n",
+                  "committed to %s); rerun with --incremental to finish\n",
                   static_cast<unsigned long long>(result.shards_run),
                   static_cast<unsigned long long>(result.recomputed),
                   opt.checkpoint.c_str());

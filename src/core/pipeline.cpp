@@ -6,7 +6,6 @@
 #include <ctime>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "core/report.h"
 #include "crypto/keccak.h"
@@ -20,7 +19,7 @@ namespace {
 constexpr unsigned kShards = 16;
 
 /// Debug-mode enforcement of the external-serialization contract: entering
-/// run()/resume()/summarize() while another is in flight on the same
+/// run()/summarize() while another is in flight on the same
 /// pipeline trips the assert. Release builds compile this to nothing.
 class ReentrancyGuard {
  public:
@@ -28,7 +27,7 @@ class ReentrancyGuard {
 #ifndef NDEBUG
     const bool was_busy = busy_.exchange(true, std::memory_order_acquire);
     assert(!was_busy &&
-           "AnalysisPipeline::run/resume/summarize must be externally "
+           "AnalysisPipeline::run/summarize must be externally "
            "serialized per instance");
 #endif
   }
@@ -237,36 +236,6 @@ util::ThreadPool& AnalysisPipeline::io_pool() {
 std::vector<ContractAnalysis> AnalysisPipeline::run(
     const std::vector<SweepInput>& inputs) {
   ReentrancyGuard guard(busy_);
-  return run_internal(inputs, nullptr);
-}
-
-std::size_t AnalysisPipeline::resume(const std::vector<SweepInput>& inputs,
-                                     std::vector<ContractAnalysis>& reports) {
-  ReentrancyGuard guard(busy_);
-  if (reports.size() != inputs.size()) {
-    throw std::invalid_argument(
-        "resume: reports must come from a run over the same inputs");
-  }
-  bool any_quarantined = false;
-  for (const ContractAnalysis& r : reports) {
-    if (r.error) {
-      any_quarantined = true;
-      break;
-    }
-  }
-  if (!any_quarantined) return 0;
-
-  reports = run_internal(inputs, &reports);
-  std::size_t still_quarantined = 0;
-  for (const ContractAnalysis& r : reports) {
-    if (r.error) ++still_quarantined;
-  }
-  return still_quarantined;
-}
-
-std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
-    const std::vector<SweepInput>& inputs,
-    const std::vector<ContractAnalysis>* prior) {
   const auto t_start = std::chrono::steady_clock::now();
   util::ThreadPool& workers = pool();
 
@@ -283,14 +252,16 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   }
   if (event_log != nullptr) {
     event_log->emit(obs::Severity::kInfo, "pipeline",
-                    (prior != nullptr ? "resume pass started over "
-                                      : "sweep started over ") +
-                        std::to_string(inputs.size()) + " contracts");
+                    "sweep started over " + std::to_string(inputs.size()) +
+                        " contracts");
   }
 
   // Each run entry asserts the backend is worth talking to again; a breaker
-  // left open by a previous run's outage must not fast-fail a resume pass.
+  // left open by a previous run's outage must not fast-fail a retry.
   if (resilient_) resilient_->breaker().reset();
+  // The archive and resilience counters never reset; annotate_run_stats
+  // reports what they gained since here.
+  run_start_rpc_ = rpc_totals();
 
   // Telemetry scope is one run: the histograms behind the LandscapeStats
   // summaries and the trace rings restart here (the workers are parked
@@ -319,7 +290,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   // (seed semantics), ever when it is on (deployed code is immutable, so a
   // warm sweep skips this phase's work). A failed fetch quarantines only its
   // own contract: the once-map clears the in-flight marker on throw, so a
-  // later retry (or resume pass) recomputes instead of caching the failure.
+  // later retry recomputes instead of caching the failure.
   CodeBlobMap run_local_blobs(kShards);
   CodeBlobMap& blob_map = blob_cache_ ? *blob_cache_ : run_local_blobs;
   // `timing` non-null = time the get_code on the wall and thread CPU clocks
@@ -404,22 +375,6 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
     return blobs[i]->key;
   };
   const auto t_fetch = std::chrono::steady_clock::now();
-
-  // ---- resume bookkeeping ----------------------------------------------
-  // Code hashes touched by a previously-quarantined contract. Their healthy
-  // siblings are recomputed too: the prior (faulty) run may have promoted a
-  // different representative for the hash, and dedup metadata must converge
-  // to what a fault-free full run produces.
-  std::unordered_set<std::string> dirty_keys;
-  if (prior != nullptr) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if ((*prior)[i].error && blobs[i]) dirty_keys.insert(key_of(i));
-    }
-  }
-  auto reuse_prior = [&](std::size_t i) {
-    return prior != nullptr && !(*prior)[i].error &&
-           (!blobs[i] || dirty_keys.count(key_of(i)) == 0);
-  };
 
   // ---- §7.1 source propagation: first verified address per code hash ----
   // The donor overlay (sharded sweeps) replaces the run-local construction:
@@ -678,7 +633,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
       // Algorithm 1 for the group's proxies, in one find_many call.
       std::vector<LogicJob> jobs;  // in input order
       for (std::size_t i = begin; i < end; ++i) {
-        if (reuse_prior(i) || !take_verdict(i)) continue;
+        if (!take_verdict(i)) continue;
         if (config_.find_logic_history && out[i].proxy.is_proxy()) {
           jobs.push_back({out[i].address, &out[i].proxy, {}, nullptr});
         }
@@ -700,23 +655,19 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
 
       std::size_t next_job = 0;
       for (std::size_t i = begin; i < end; ++i) {
-        if (reuse_prior(i)) {
-          out[i] = (*prior)[i];
-        } else {
-          // Per-contract latency stopwatch and trace span around the rest
-          // of this contract's pair phase.
-          const std::uint64_t t0 = h_contract_ != nullptr ? clock_() : 0;
-          {
-            obs::Span contract_span(tracer_.get(), "contract");
-            contract_span.arg("index", static_cast<std::int64_t>(i));
-            LogicJob* job =
-                next_job < jobs.size() && jobs[next_job].report == &out[i].proxy
-                    ? &jobs[next_job++]
-                    : nullptr;
-            if (!out[i].error) finish(i, job);
-          }
-          if (h_contract_ != nullptr) h_contract_->record(clock_() - t0);
+        // Per-contract latency stopwatch and trace span around the rest of
+        // this contract's pair phase.
+        const std::uint64_t t0 = h_contract_ != nullptr ? clock_() : 0;
+        {
+          obs::Span contract_span(tracer_.get(), "contract");
+          contract_span.arg("index", static_cast<std::int64_t>(i));
+          LogicJob* job =
+              next_job < jobs.size() && jobs[next_job].report == &out[i].proxy
+                  ? &jobs[next_job++]
+                  : nullptr;
+          if (!out[i].error) finish(i, job);
         }
+        if (h_contract_ != nullptr) h_contract_->record(clock_() - t0);
         if (c_contracts_ != nullptr) c_contracts_->add();
         if (status != nullptr) {
           status->contracts_done.fetch_add(1, std::memory_order_relaxed);
@@ -790,14 +741,25 @@ LandscapeStats AnalysisPipeline::summarize(
   return stats;
 }
 
-void AnalysisPipeline::annotate_run_stats(LandscapeStats& stats) const {
-  stats.get_storage_at_calls = rpc().get_storage_at_calls();
+AnalysisPipeline::RpcTotals AnalysisPipeline::rpc_totals() const {
+  RpcTotals t;
+  t.storage_calls = rpc().get_storage_at_calls();
   if (resilient_) {
-    stats.rpc_retries = resilient_->retries();
-    stats.rpc_faults = resilient_->faults_seen();
-    stats.rpc_giveups = resilient_->giveups();
-    stats.breaker_trips = resilient_->breaker().trips();
+    t.retries = resilient_->retries();
+    t.faults = resilient_->faults_seen();
+    t.giveups = resilient_->giveups();
+    t.breaker_trips = resilient_->breaker().trips();
   }
+  return t;
+}
+
+void AnalysisPipeline::annotate_run_stats(LandscapeStats& stats) const {
+  const RpcTotals now = rpc_totals();
+  stats.get_storage_at_calls = now.storage_calls - run_start_rpc_.storage_calls;
+  stats.rpc_retries = now.retries - run_start_rpc_.retries;
+  stats.rpc_faults = now.faults - run_start_rpc_.faults;
+  stats.rpc_giveups = now.giveups - run_start_rpc_.giveups;
+  stats.breaker_trips = now.breaker_trips - run_start_rpc_.breaker_trips;
   if (stats.total_contracts > 0) {
     stats.ms_per_contract =
         last_run_ms_ / static_cast<double>(stats.total_contracts);
@@ -826,7 +788,7 @@ void AnalysisPipeline::shed_cross_run_state() {
   if (blob_cache_) blob_cache_->clear();
   if (verdict_cache_) verdict_cache_->clear();
   // Dropping whole AnalysisCache entries also sheds the memoized
-  // StorageLayout side table — a resumed lap must re-infer layouts so its
+  // StorageLayout side table — a later lap must re-infer layouts so its
   // reports stay bit-identical with a cold run over the same population.
   if (cache_) cache_->clear();
   // The coalescer's sealed observations assume the chain was not mutated;

@@ -9,8 +9,9 @@
 // retries transient RpcErrors with backoff behind a circuit breaker. Every
 // per-contract unit of work runs under a try/catch plus a wall-clock
 // watchdog: a failing contract becomes a quarantined ErrorRecord on its
-// ContractAnalysis instead of aborting the sweep, and resume() re-enters the
-// run to retry only the quarantined set.
+// ContractAnalysis instead of aborting the sweep. Retrying the quarantined set
+// goes through the checkpoint journal: store::DurableSweep journals every
+// report, and its incremental() recomputes exactly the quarantined records.
 #pragma once
 
 #include <atomic>
@@ -66,7 +67,7 @@ std::string_view to_string(ErrorKind kind) noexcept;
 
 /// Per-contract failure record. A report carrying one is "quarantined":
 /// its analysis is partial (whatever phases completed before the failure)
-/// and resume() will retry it.
+/// and a durable sweep's incremental() retries it.
 struct ErrorRecord {
   ErrorKind kind = ErrorKind::kInternal;
   std::string phase;   // "fetch" | "proxy" | "pairs"
@@ -193,7 +194,7 @@ struct PipelineConfig {
   /// Backoff shape for retried archive RPCs.
   util::RetryPolicy retry{};
   /// Per-backend circuit breaker (trips on consecutive failures, half-opens
-  /// on a probe after its cooldown). Reset at each run()/resume() entry.
+  /// on a probe after its cooldown). Reset at each run() entry.
   util::CircuitBreakerConfig breaker{};
   /// Wall-clock budget per contract in the pair phase; 0 = unlimited. A
   /// contract exceeding it quarantines as kEmulationLimit at the next
@@ -244,6 +245,8 @@ struct LandscapeStats {
   std::map<std::uint64_t, std::uint64_t> upgrade_histogram;
   std::uint64_t total_upgrade_events = 0;
 
+  /// Backend storage reads of the run (a durable sweep: summed over its
+  /// shards).
   std::uint64_t get_storage_at_calls = 0;
   double ms_per_contract = 0.0;
 
@@ -251,10 +254,11 @@ struct LandscapeStats {
   /// Shards the durable driver ran (or replayed) to produce these stats.
   std::uint64_t sweep_shards = 0;
   /// Contracts whose reports were replayed from the checkpoint journal
-  /// instead of being recomputed (resume / incremental modes).
+  /// instead of being recomputed (incremental()).
   std::uint64_t journal_replayed = 0;
-  /// Contracts the incremental mode re-analyzed because their
-  /// (code hash, implementation-slot head) fingerprint changed.
+  /// Contracts an incremental() call re-analyzed: missing from the journal,
+  /// quarantined there, or with a changed (code hash, implementation-slot
+  /// head) fingerprint.
   std::uint64_t incremental_reanalyzed = 0;
   /// 1 when the durable driver lost its disk mid-sweep (ENOSPC/persistent
   /// write or fsync failure) and finished in in-memory degraded mode:
@@ -267,16 +271,16 @@ struct LandscapeStats {
 
   // ---- fault / coverage accounting --------------------------------------
   /// Contracts whose reports carry an ErrorRecord (excluded from the
-  /// aggregates above: the sweep's coverage is partial until resume()
-  /// clears them).
+  /// aggregates above: the sweep's coverage is partial until a durable
+  /// sweep's incremental() clears them).
   std::uint64_t quarantined = 0;
   /// total_contracts - quarantined.
   std::uint64_t analyzed_contracts = 0;
   /// Failure taxonomy over quarantine records PLUS deterministic emulation
   /// step-limit halts (kEmulationLimit counts both).
   std::map<ErrorKind, std::uint64_t> errors_by_kind;
-  /// Resilience-layer counters for the pipeline's backend (zero when
-  /// enable_retries is false).
+  /// Resilience-layer events of the run, summed like get_storage_at_calls
+  /// (zero when enable_retries is false).
   std::uint64_t rpc_retries = 0;
   std::uint64_t rpc_faults = 0;
   std::uint64_t rpc_giveups = 0;
@@ -325,7 +329,7 @@ struct LandscapeStats {
 
   // ---- latency distributions (telemetry; all-zero when disabled) --------
   /// Phase-B wall time per contract, nanoseconds (count = contracts that
-  /// went through the pair phase this run, excluding resume carry-overs).
+  /// went through the pair phase this run).
   /// Algorithm 1 runs per group of contracts before this stopwatch starts,
   /// so it is not included.
   obs::HistogramSummary contract_latency_ns;
@@ -356,11 +360,11 @@ class AnalysisPipeline {
   ///
   /// Fault containment: a contract whose analysis fails (RPC exhausted,
   /// watchdog, internal error) is returned with `error` set rather than
-  /// aborting the run; see resume().
+  /// aborting the run; store::DurableSweep::incremental() retries it.
   ///
   /// Concurrency contract: the parallelism lives *inside* a run (the pool
   /// reads the chain concurrently, which must therefore be read-safe).
-  /// run(), resume(), and summarize() must be EXTERNALLY SERIALIZED per
+  /// run() and summarize() must be EXTERNALLY SERIALIZED per
   /// pipeline instance — concurrent calls on one AnalysisPipeline race on
   /// the per-run pair memo, the run-scoped histograms, and the timing
   /// fields. Debug builds enforce this with a re-entrancy guard (assert);
@@ -368,26 +372,16 @@ class AnalysisPipeline {
   /// independent and may run concurrently over a read-safe chain.
   std::vector<ContractAnalysis> run(const std::vector<SweepInput>& inputs);
 
-  /// Checkpoint/resume: retries only the quarantined contracts of a prior
-  /// run over the same `inputs`, patching `reports` in place. Healthy
-  /// reports are carried over untouched — except contracts sharing a code
-  /// hash with a quarantined one, which are recomputed so dedup metadata
-  /// (representative choice, probe seeding) converges to exactly what a
-  /// fault-free run over the full population produces. The breaker is reset
-  /// on entry (the caller is asserting the backend recovered). Returns the
-  /// number of contracts still quarantined.
-  std::size_t resume(const std::vector<SweepInput>& inputs,
-                     std::vector<ContractAnalysis>& reports);
-
   /// Aggregates reports into the landscape statistics. Quarantined reports
   /// count toward `quarantined` / `errors_by_kind` only. Same external-
   /// serialization contract as run() — it reads the run-scoped counters.
   LandscapeStats summarize(const std::vector<ContractAnalysis>& reports) const;
 
   /// Copies the pipeline-scoped perf/coverage fields of the LAST run into
-  /// `stats`: phase wall times, cache + pair-memo counters, resilience
-  /// totals, RPC call counts, latency histogram summaries, and tracer
-  /// accounting. summarize() = LandscapeAccumulator over the reports + this.
+  /// `stats`: phase wall times, cache + pair-memo counters, the run's
+  /// resilience events and backend storage calls, latency histogram
+  /// summaries, and tracer accounting. summarize() = LandscapeAccumulator
+  /// over the reports + this.
   /// Exposed for the durable sharded driver, which aggregates reports
   /// incrementally across shards and only needs the annotation step.
   void annotate_run_stats(LandscapeStats& stats) const;
@@ -468,11 +462,17 @@ class AnalysisPipeline {
       StripedOnceMap<Address, std::shared_ptr<const CodeBlob>,
                      evm::AddressHasher>;
 
-  /// The sweep body. `prior` non-null = resume semantics (recompute only
-  /// quarantined contracts and their code-hash siblings).
-  std::vector<ContractAnalysis> run_internal(
-      const std::vector<SweepInput>& inputs,
-      const std::vector<ContractAnalysis>* prior);
+  /// The archive and resilience counters behind annotate_run_stats. They
+  /// never reset, so each run() entry snapshots them and the run reports
+  /// the difference.
+  struct RpcTotals {
+    std::uint64_t storage_calls = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t faults = 0;
+    std::uint64_t giveups = 0;
+    std::uint64_t breaker_trips = 0;
+  };
+  RpcTotals rpc_totals() const;
 
   util::ThreadPool& pool();
   /// The archive-bound pool of config.archive_inflight workers, created the
@@ -554,10 +554,11 @@ class AnalysisPipeline {
   std::unordered_map<std::string, Address> donor_overlay_;
 
   /// Debug-only re-entrancy guard for the external-serialization contract
-  /// (run/resume/summarize must not overlap on one instance). mutable so
+  /// (run/summarize must not overlap on one instance). mutable so
   /// the const summarize() can participate.
   mutable std::atomic<bool> busy_{false};
 
+  RpcTotals run_start_rpc_;
   double last_run_ms_ = 0.0;
   double last_fetch_ms_ = 0.0;
   double last_proxy_ms_ = 0.0;

@@ -119,6 +119,15 @@ std::uint64_t ChainFollower::poll_locked() {
   }
 
   const std::uint64_t absorbed = head - scan_from + (primed_ ? 0 : 1);
+  // The verdict set is complete through `head`: stamp the snapshot.
+  auto publish = [&] {
+    published_head_ = head;
+    const std::shared_ptr<const Snapshot> snap = query_.publish(head);
+    stats_.snapshot_entries.store(snap->rows.size(),
+                                  std::memory_order_relaxed);
+    stats_.snapshot_version.store(snap->version, std::memory_order_relaxed);
+    stats_.snapshot_head.store(head, std::memory_order_relaxed);
+  };
   if (dirty) {
     const std::uint64_t t0 = now_us();
     const store::DurableSweepResult result = sweep_->incremental(inputs_);
@@ -140,13 +149,9 @@ std::uint64_t ChainFollower::poll_locked() {
         std::lock_guard<std::mutex> err_lock(err_mu_);
         last_error_.clear();
       }
-      published_head_ = head;
-      const std::shared_ptr<const Snapshot> snap = query_.publish(head);
-      stats_.snapshot_entries.store(snap->rows.size(),
-                                    std::memory_order_relaxed);
-      stats_.snapshot_version.store(snap->version, std::memory_order_relaxed);
-      stats_.snapshot_head.store(head, std::memory_order_relaxed);
+      publish();
       stats_.laps.fetch_add(1, std::memory_order_relaxed);
+      metrics_.counter("sweep.follower.laps").add(1);
       if (config_.event_log != nullptr) {
         config_.event_log->emit(
             obs::Severity::kInfo, "follower",
@@ -159,17 +164,14 @@ std::uint64_t ChainFollower::poll_locked() {
     // Nothing analysis-relevant in the new blocks: the verdict set is
     // already complete through `head` — publish the advanced stamp without
     // paying for a lap.
-    published_head_ = head;
-    const std::shared_ptr<const Snapshot> snap = query_.publish(head);
-    stats_.snapshot_entries.store(snap->rows.size(),
-                                  std::memory_order_relaxed);
-    stats_.snapshot_version.store(snap->version, std::memory_order_relaxed);
-    stats_.snapshot_head.store(head, std::memory_order_relaxed);
+    publish();
     stats_.fast_forwards.fetch_add(1, std::memory_order_relaxed);
+    metrics_.counter("sweep.follower.fast_forwards").add(1);
   }
   primed_ = true;
   last_head_ = head;
   stats_.blocks_processed.fetch_add(absorbed, std::memory_order_relaxed);
+  metrics_.counter("sweep.follower.blocks_processed").add(absorbed);
   // chain_head may already be ahead (the head callback advances it on the
   // mining thread); never move it backwards from here.
   std::uint64_t seen = stats_.chain_head.load(std::memory_order_relaxed);
@@ -186,15 +188,6 @@ std::uint64_t ChainFollower::poll_locked() {
   metrics_.gauge("sweep.follower.staleness_blocks")
       .set(static_cast<std::int64_t>(
           chain_head > snapshot_head ? chain_head - snapshot_head : 0));
-  metrics_.gauge("sweep.follower.laps")
-      .set(static_cast<std::int64_t>(
-          stats_.laps.load(std::memory_order_relaxed)));
-  metrics_.gauge("sweep.follower.fast_forwards")
-      .set(static_cast<std::int64_t>(
-          stats_.fast_forwards.load(std::memory_order_relaxed)));
-  metrics_.gauge("sweep.follower.blocks_processed")
-      .set(static_cast<std::int64_t>(
-          stats_.blocks_processed.load(std::memory_order_relaxed)));
   metrics_.gauge("sweep.follower.snapshot_entries")
       .set(static_cast<std::int64_t>(
           stats_.snapshot_entries.load(std::memory_order_relaxed)));

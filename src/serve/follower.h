@@ -44,7 +44,8 @@
 
 namespace proxion::serve {
 
-/// Live follower progress for /v1/status and the sweep.follower.* gauges.
+/// Live follower progress for /v1/status; the sweep.follower.* series mirror
+/// it on /metrics (events as counters, levels as gauges).
 /// All relaxed atomics, same independent-facts contract as obs::SweepStatus.
 struct FollowerStats {
   std::atomic<bool> following{false};
@@ -66,7 +67,7 @@ struct ChainFollowerConfig {
   /// Maps a deployment block to the SweepInput presentation year for newly
   /// discovered contracts. Null = year 0.
   std::function<int(std::uint64_t block)> year_of_block;
-  /// Metrics sink for the sweep.follower.* gauges. Null = Registry::global().
+  /// Metrics sink for the sweep.follower.* series. Null = Registry::global().
   obs::Registry* registry = nullptr;
   /// Structured event sink for lap/discovery lines (borrowed). Null = none.
   obs::EventLog* event_log = nullptr;

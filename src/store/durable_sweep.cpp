@@ -32,6 +32,23 @@ std::uint64_t now_ns() {
           .count());
 }
 
+/// Adds one shard run's per-run figures (what annotate_run_stats reports for
+/// the last run alone) into `sum`.
+void add_run_figures(core::LandscapeStats& sum,
+                     const core::LandscapeStats& run) {
+  sum.phase_fetch_ms += run.phase_fetch_ms;
+  sum.phase_proxy_ms += run.phase_proxy_ms;
+  sum.phase_pairs_ms += run.phase_pairs_ms;
+  sum.pair_cache_hits += run.pair_cache_hits;
+  sum.pair_cache_misses += run.pair_cache_misses;
+  sum.pair_cache_waits += run.pair_cache_waits;
+  sum.get_storage_at_calls += run.get_storage_at_calls;
+  sum.rpc_retries += run.rpc_retries;
+  sum.rpc_faults += run.rpc_faults;
+  sum.rpc_giveups += run.rpc_giveups;
+  sum.breaker_trips += run.breaker_trips;
+}
+
 /// Low-160-bit mask: how the EVM (and Phase B's dedup re-read) turns a
 /// storage word into an address.
 Address masked_head(const U256& word) {
@@ -53,10 +70,6 @@ DurableSweep::DurableSweep(core::AnalysisPipeline& pipeline,
 
 DurableSweepResult DurableSweep::run(const std::vector<SweepInput>& inputs) {
   return sweep(inputs, Mode::kFresh);
-}
-
-DurableSweepResult DurableSweep::resume(const std::vector<SweepInput>& inputs) {
-  return sweep(inputs, Mode::kResume);
 }
 
 DurableSweepResult DurableSweep::incremental(
@@ -95,18 +108,18 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
   }
 
-  // ---- replay the journal (resume / incremental) ------------------------
-  // Last-wins per address: a record appended by a later resume/incremental
-  // pass supersedes the original.
+  // ---- replay the journal (incremental) ----------------------------------
+  // Last-wins per address: a record appended by a later incremental pass
+  // supersedes the original.
   std::unordered_map<Address, ContractRecord, evm::AddressHasher> records;
   std::uint64_t prior_shards = 0;
   bool journal_present = false;
   std::uint64_t heal_gaps = 0;
-  if (mode != Mode::kFresh) {
+  if (mode == Mode::kIncremental) {
     // Salvage replay: a bit-rotted region mid-journal loses only the
     // records it physically destroyed — valid frames past it still count.
-    // The destroyed records' hash groups simply come up short below and
-    // get recomputed whole: that IS the self-heal, scoped to the damage.
+    // The destroyed records simply come up missing below and get
+    // recomputed: that IS the self-heal, scoped to the damage.
     if (std::optional<JournalReplay> replay = read_journal(
             config_.journal_path, vfs, ReplayOptions{.salvage = true})) {
       journal_present = true;
@@ -123,7 +136,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
               obs::Severity::kWarn, "sweep",
               "journal self-heal: salvaged around " +
                   std::to_string(replay->corrupt_gaps) +
-                  " corrupt region(s); damaged groups will recompute");
+                  " corrupt region(s); damaged records will recompute");
         }
         if (replay->tail_dropped) {
           config_.event_log->emit(
@@ -150,8 +163,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       }
     }
   }
-  const Mode effective =
-      (mode != Mode::kFresh && !journal_present) ? Mode::kFresh : mode;
+  const bool fresh = !journal_present;
 
   // ---- plan: replay vs recompute per contract ---------------------------
   std::uint64_t upgraded = 0;
@@ -159,7 +171,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   plan.prior_shards = prior_shards;
   std::unordered_set<std::size_t> dedup_patch;
   std::unordered_map<crypto::Hash256, Seed, HashKey> seeds;
-  if (effective == Mode::kFresh) {
+  if (fresh) {
     plan.rerun_groups = groups;
   } else {
     for (const Group& group : groups) {
@@ -172,7 +184,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
         const bool healthy = rec != nullptr && !rec->analysis.error &&
                              rec->code_hash == hashes[i];
         bool reusable = healthy;
-        if (healthy && effective == Mode::kIncremental &&
+        if (healthy &&
             rec->analysis.proxy.logic_source == core::LogicSource::kStorageSlot) {
           // Same code, but has the implementation slot moved? The journaled
           // logic_address IS the masked head at analysis time.
@@ -189,19 +201,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
           rerun.push_back(i);
         }
       }
-      if (rerun.empty()) {
-        for (const ContractRecord* rec : keep) plan.replayed.push_back(*rec);
-        continue;
-      }
-      if (effective == Mode::kResume) {
-        // Resume recomputes incomplete groups WHOLE: the journal may have
-        // been cut mid-group (or hold a quarantined member), and dedup
-        // metadata must converge to a fault-free full run's.
-        plan.rerun_groups.push_back(group);
-        continue;
-      }
-      // Incremental: keep the unchanged members, re-run the rest.
       for (const ContractRecord* rec : keep) plan.replayed.push_back(*rec);
+      if (rerun.empty()) continue;
       if (group.members.front() != rerun.front()) {
         // The group's global-first representative was replayed; everything
         // re-run here must journal as a dedup clone or the unique-codehash
@@ -270,9 +271,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   };
   IoResult open_why;
   std::optional<JournalWriter> writer =
-      effective == Mode::kFresh
-          ? JournalWriter::create(config_.journal_path, vfs, &open_why)
-          : JournalWriter::open_append(config_.journal_path, vfs, &open_why);
+      fresh ? JournalWriter::create(config_.journal_path, vfs, &open_why)
+            : JournalWriter::open_append(config_.journal_path, vfs, &open_why);
   if (!writer) {
     if (!degrade(open_why)) {
       result.error = "cannot open checkpoint journal: " + config_.journal_path +
@@ -280,7 +280,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       return result;
     }
   }
-  if (writer && effective == Mode::kFresh) {
+  if (writer && fresh) {
     const std::vector<std::uint8_t> begin = encode_sweep_begin(
         {inputs.size(), static_cast<std::uint64_t>(config_.shard_size)});
     if (IoResult r = writer->append(RecordType::kSweepBegin, begin); !r) {
@@ -347,9 +347,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   }
 
   // ---- per-shard streaming loop -----------------------------------------
+  core::LandscapeStats sums;
   obs::HistogramSnapshot sum_contract_ns, sum_rpc_ns, sum_steps;
-  double sum_fetch_ms = 0, sum_proxy_ms = 0, sum_pairs_ms = 0;
-  std::uint64_t sum_pair_hits = 0, sum_pair_misses = 0, sum_pair_waits = 0;
   obs::Histogram& h_flush = metrics_.histogram("store.journal.flush_ns");
   std::uint64_t shard_index = plan.prior_shards;
   // Replayed contracts sit inside the journal's valid prefix, which every
@@ -382,16 +381,32 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
 
     std::vector<ContractAnalysis> reports = pipeline_.run(shard_inputs);
 
-    // Per-run perf accounting, summed across shards (the pipeline resets
-    // its run-scoped histograms/timers at every run entry).
+    // A group whose first member could not be fetched ran under a stand-in
+    // representative, so its other members carry that member's verdict
+    // (address-seeded probe, dedup flag), not the one a fault-free run
+    // gives them. As when Phase A fails, the first member's quarantine
+    // covers the group: a healthy record is then always final, and the
+    // next incremental() recomputes the group with the rest of the
+    // quarantined set.
+    std::size_t group_begin = 0;
+    for (const Group* group : shard) {
+      const std::size_t group_end = group_begin + group->members.size();
+      const std::optional<core::ErrorRecord>& first =
+          reports[group_begin].error;
+      if (first && first->phase == "fetch") {
+        for (std::size_t j = group_begin + 1; j < group_end; ++j) {
+          if (!reports[j].error) reports[j].error = first;
+        }
+      }
+      group_begin = group_end;
+    }
+
+    // Per-run perf and archive accounting, summed across shards (the
+    // pipeline resets its run-scoped histograms/timers, and snapshots its
+    // never-reset archive counters, at every run entry).
     core::LandscapeStats shard_annot;
     pipeline_.annotate_run_stats(shard_annot);
-    sum_fetch_ms += shard_annot.phase_fetch_ms;
-    sum_proxy_ms += shard_annot.phase_proxy_ms;
-    sum_pairs_ms += shard_annot.phase_pairs_ms;
-    sum_pair_hits += shard_annot.pair_cache_hits;
-    sum_pair_misses += shard_annot.pair_cache_misses;
-    sum_pair_waits += shard_annot.pair_cache_waits;
+    add_run_figures(sums, shard_annot);
     const obs::Registry& preg = pipeline_.registry();
     if (const obs::Histogram* h = preg.find_histogram("sweep.contract_latency_ns")) {
       sum_contract_ns.merge(h->snapshot());
@@ -495,7 +510,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   // ---- finish -----------------------------------------------------------
   // Degraded mode: the population IS fully covered in memory, so the sweep
   // is complete — there is just no kSweepEnd to journal (the checkpoint
-  // honestly stops at the last good commit, and resume() picks up there).
+  // honestly stops at the last good commit, and incremental() picks up
+  // there).
   result.complete = !stopped;
   if (result.complete && writer) {
     IoResult io = writer->append(RecordType::kSweepEnd,
@@ -520,25 +536,28 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   }
 
   core::LandscapeStats stats = acc.take();
-  pipeline_.annotate_run_stats(stats);
-  stats.phase_fetch_ms = sum_fetch_ms;
-  stats.phase_proxy_ms = sum_proxy_ms;
-  stats.phase_pairs_ms = sum_pairs_ms;
-  stats.pair_cache_hits = sum_pair_hits;
-  stats.pair_cache_misses = sum_pair_misses;
-  stats.pair_cache_waits = sum_pair_waits;
+  // The pipeline's cache and tracer accounting as it stands; every per-run
+  // figure is the sum over this call's shards.
+  {
+    core::LandscapeStats now;
+    pipeline_.annotate_run_stats(now);
+    stats.cache = now.cache;
+    stats.trace_spans_recorded = now.trace_spans_recorded;
+    stats.trace_spans_dropped = now.trace_spans_dropped;
+  }
+  add_run_figures(stats, sums);
   stats.contract_latency_ns = sum_contract_ns.summary();
   stats.rpc_latency_ns = sum_rpc_ns.summary();
   stats.emulation_steps = sum_steps.summary();
   stats.ms_per_contract =
       result.recomputed > 0
-          ? (sum_fetch_ms + sum_proxy_ms + sum_pairs_ms) /
+          ? (sums.phase_fetch_ms + sums.phase_proxy_ms + sums.phase_pairs_ms) /
                 static_cast<double>(result.recomputed)
           : 0.0;
   stats.sweep_shards = plan.prior_shards + result.shards_run;
   stats.journal_replayed = result.replayed;
   stats.incremental_reanalyzed =
-      effective == Mode::kIncremental ? result.recomputed : 0;
+      mode == Mode::kIncremental ? result.recomputed : 0;
   stats.sweep_degraded = result.degraded ? 1 : 0;
   stats.selfheal_shards = heal_gaps;
   result.stats = std::move(stats);

@@ -3,15 +3,16 @@
 // into code-hash-affine shards, runs each through the pipeline, flushes the
 // per-contract results to the checkpoint journal (journal.h), and frees the
 // pipeline's cross-run memos between shards so peak memory is O(shard), not
-// O(population). Three entry points:
+// O(population). Two entry points:
 //
-//   run()         — fresh sweep into a new journal
-//   resume()      — replay the journal's completed work, recompute the rest
-//   incremental() — diff journaled (code hash, impl-slot head) fingerprints
-//                   against current chain state; re-analyze only new or
-//                   changed contracts (upgraded proxies skip Phase A
-//                   emulation via a seeded verdict and re-run the pair
-//                   phase only)
+//   run()         — fresh sweep into a new (truncated) journal
+//   incremental() — continue from the journal, whatever cut it short or
+//                   changed since: reuse each healthy record whose (code
+//                   hash, impl-slot head) fingerprint still matches the
+//                   chain, re-analyze the rest — missing (a crash, a torn
+//                   tail, bit rot), quarantined, new or changed contracts
+//                   (upgraded proxies skip Phase A emulation via a seeded
+//                   verdict and re-run the pair phase only)
 //
 // Bit-identity with a monolithic pipeline.run() over the same inputs rests
 // on three invariants this driver maintains:
@@ -22,8 +23,13 @@
 //      injected as an overlay, so a shard resolves the same donors a
 //      monolithic run would even when a logic blob's donor lives in another
 //      shard;
-//   3. resume recomputes incomplete hash groups WHOLE (never a partial
-//      group), so representative choice and dedup metadata converge.
+//   3. incremental() decides per contract, yet a partial group converges:
+//      a healthy record is final (a group whose first member cannot be
+//      fetched is quarantined whole, so no stand-in representative's
+//      verdict is ever journaled as healthy), and a member re-run while its
+//      group's first member replays is journaled as a dedup clone, its
+//      Phase A verdict seeded from a same-code record with the slot head
+//      re-read at its own address — exactly what a fresh run gives it.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +60,8 @@ struct DurableSweepConfig {
   std::size_t shard_size = 1024;
   /// Stop (journal committed, sweep incomplete) after this many shards;
   /// 0 = no limit. This is the deterministic stand-in for `kill -9` in the
-  /// resume tests and benches — the on-disk state is the same one a crash
-  /// after the Nth commit leaves behind.
+  /// crash-recovery tests and benches — the on-disk state is the same one a
+  /// crash after the Nth commit leaves behind.
   std::size_t max_shards = 0;
   /// Drop the pipeline's cross-run memos between shards (the bounded-memory
   /// contract). Off trades memory back for cross-shard cache hits.
@@ -101,12 +107,12 @@ struct DurableSweepResult {
   std::uint64_t recomputed = 0;
   /// True when the whole population is covered (kSweepEnd journaled, or
   /// swept in memory under degraded mode).
-  /// False after a max_shards stop — call resume() to finish.
+  /// False after a max_shards stop — call incremental() to finish.
   bool complete = false;
   /// The disk failed mid-sweep and degrade_on_disk_failure carried the
   /// sweep to completion in memory: stats/verdicts are valid, but work
   /// after the last good shard commit is not checkpointed (a later
-  /// resume() recomputes it).
+  /// incremental() recomputes it).
   bool degraded = false;
   /// First disk failure (kind kDiskIo, errno detail in the text) — set
   /// whenever `degraded` is true or `error` names a journal failure.
@@ -129,24 +135,20 @@ class DurableSweep {
   /// Fresh sweep: creates/truncates the journal and sweeps `inputs`.
   DurableSweepResult run(const std::vector<core::SweepInput>& inputs);
 
-  /// Crash-safe resume: replays the journal's valid prefix, feeds completed
-  /// hash groups straight to the aggregates (zero recomputation), and
-  /// re-runs every group that is missing members or carries a quarantined
-  /// record — whole, so dedup metadata converges (see file comment).
-  /// A missing journal degrades to run().
-  DurableSweepResult resume(const std::vector<core::SweepInput>& inputs);
-
-  /// Incremental re-sweep against a possibly-mutated chain: a journaled
-  /// contract is reused iff its code hash matches the chain's current code
-  /// AND (for storage-slot proxies) its implementation-slot head is
-  /// unchanged. Upgraded proxies (same code, new head) re-enter the
-  /// pipeline with their Phase A verdict pre-seeded, so only logic-history
-  /// + pair collision work is redone. New, code-changed, and quarantined
-  /// contracts re-analyze in full. A missing journal degrades to run().
+  /// Continues from the journal against a possibly-mutated chain — after a
+  /// crash or max_shards stop, a disk failure, an outage that quarantined
+  /// contracts, or new blocks. Replays the journal's valid frames (salvaging
+  /// around bit rot, last record per address wins); a journaled contract is
+  /// reused iff its record is healthy, its code hash matches the chain's
+  /// current code AND (for storage-slot proxies) its implementation-slot
+  /// head is unchanged. Contracts with a healthy same-code record re-enter
+  /// the pipeline with their Phase A verdict pre-seeded, so only
+  /// logic-history + pair collision work is redone; the rest re-analyze in
+  /// full. A missing journal degrades to run().
   DurableSweepResult incremental(const std::vector<core::SweepInput>& inputs);
 
  private:
-  enum class Mode { kFresh, kResume, kIncremental };
+  enum class Mode { kFresh, kIncremental };
 
   /// One code-hash group: member input indices in input order (the first is
   /// the global dedup representative).
@@ -166,8 +168,7 @@ class DurableSweep {
 
   /// What a sweep call decided to do with each contract: journal-reused
   /// records (fed straight to the accumulator) vs groups with members to
-  /// recompute (mixed incremental groups keep their unchanged members in
-  /// `replayed`).
+  /// recompute (a group's reusable members stay in `replayed`).
   struct Plan {
     std::vector<ContractRecord> replayed;
     std::vector<Group> rerun_groups;

@@ -1,14 +1,16 @@
 // The chaos matrix: a durable sweep over the fault-injecting model
 // filesystem, power-cut at EVERY mutating-op boundary, then heal + reboot +
-// resume — asserting the resumed sweep is bit-identical to a fault-free run
-// and that committed work is never recomputed. Plus the three targeted
-// disasters: ENOSPC mid-sweep (graceful in-memory degradation), fsync
-// failure (fsyncgate fail-stop: the failed file is never synced again), and
-// at-rest bit rot in a committed shard (self-heal recomputes exactly the
-// damaged hash group).
+// incremental() — asserting every resumed journal record is byte-equal to a
+// fault-free run's and that committed work is never recomputed. Plus the
+// three targeted disasters: ENOSPC mid-sweep (graceful in-memory
+// degradation), fsync failure (fsyncgate fail-stop: the failed file is never
+// synced again), and at-rest bit rot in a committed shard (self-heal
+// recomputes exactly the damaged record, a group representative or a
+// sibling alike).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "datagen/population.h"
+#include "journal_oracle.h"
 #include "obs/metrics.h"
 #include "store/durable_sweep.h"
 #include "store/journal.h"
@@ -82,13 +85,15 @@ store::DurableSweepResult run_sweep(datagen::Population& pop,
   return sweep.run(inputs);
 }
 
+/// A rebooted process continuing the journal: a fresh pipeline and
+/// incremental().
 store::DurableSweepResult resume_sweep(
     datagen::Population& pop, const std::vector<core::SweepInput>& inputs,
     util::Vfs& vfs, obs::Registry* reg = nullptr) {
   core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, {});
   store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources,
                             sweep_config(vfs, reg));
-  return sweep.resume(inputs);
+  return sweep.incremental(inputs);
 }
 
 TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
@@ -106,6 +111,9 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
                                    "shards for a meaningful matrix";
   const std::uint64_t boundaries = ref_vfs.mutating_ops();
   ASSERT_GT(boundaries, 20u);
+  const test::RecordMap ref_records =
+      test::last_wins_records(kJournal, ref_vfs);
+  ASSERT_EQ(ref_records.size(), inputs.size());
 
   std::uint64_t cuts_with_commits = 0;
   for (std::uint64_t b = 0; b < boundaries; ++b) {
@@ -140,6 +148,11 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
     EXPECT_GE(res.replayed, committed);
     EXPECT_EQ(res.replayed + res.recomputed, inputs.size());
     expect_same_verdicts(res.stats, ref.stats);
+    for (const std::string& address : test::record_diffs(
+             test::last_wins_records(kJournal, vfs), ref_records)) {
+      ADD_FAILURE() << "record differs from the fault-free journal: "
+                    << address;
+    }
 
     // The journal reads back whole after the resume, and the manifest
     // records full coverage.
@@ -251,7 +264,49 @@ TEST(ChaosCrash, FsyncFailureFailsStopAndNeverSyncsThatFileAgain) {
   EXPECT_EQ(manifest->shards_committed, 1u);
 }
 
-TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatGroup) {
+/// One kContract frame of the journal on disk: where its payload sits, and
+/// the record it holds.
+struct RecordFrame {
+  std::size_t payload_off = 0;
+  std::size_t len = 0;
+  store::ContractRecord record;
+};
+
+std::vector<RecordFrame> contract_frames(
+    const std::vector<std::uint8_t>& bytes) {
+  auto u32_at = [&](std::size_t p) {
+    return static_cast<std::uint32_t>(bytes[p]) |
+           static_cast<std::uint32_t>(bytes[p + 1]) << 8 |
+           static_cast<std::uint32_t>(bytes[p + 2]) << 16 |
+           static_cast<std::uint32_t>(bytes[p + 3]) << 24;
+  };
+  std::vector<RecordFrame> frames;
+  for (std::size_t pos = store::kJournalHeaderSize;
+       pos + store::kFrameOverhead <= bytes.size();) {
+    const std::uint32_t len = u32_at(pos);
+    if (static_cast<store::RecordType>(bytes[pos + 4]) ==
+        store::RecordType::kContract) {
+      RecordFrame f;
+      f.payload_off = pos + 5;
+      f.len = len;
+      auto rec =
+          store::decode_contract_record({bytes.data() + f.payload_off, len});
+      EXPECT_TRUE(rec.has_value());
+      if (rec) f.record = std::move(*rec);
+      frames.push_back(std::move(f));
+    }
+    pos += store::kFrameOverhead + len;
+  }
+  return frames;
+}
+
+/// At-rest bit rot in one committed record, picked by `pick` from the
+/// journal's contract frames: incremental() salvages around the damage,
+/// recomputes exactly the destroyed record, and the healed journal's
+/// last-wins records are byte-equal to the undamaged journal's.
+void expect_bit_rot_heals_one_record(
+    const std::function<std::optional<std::size_t>(
+        const std::vector<RecordFrame>&)>& pick) {
   datagen::Population pop = make_population();
   const auto inputs = pop.sweep_inputs();
 
@@ -259,72 +314,30 @@ TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatGroup) {
   const store::DurableSweepResult base = run_sweep(pop, inputs, vfs);
   ASSERT_TRUE(base.error.empty()) << base.error;
   ASSERT_TRUE(base.complete);
+  const test::RecordMap undamaged = test::last_wins_records(kJournal, vfs);
 
-  // Walk the journal's frames on disk to find a kContract record from a
-  // SMALL hash group (so the heal's blast radius has a tight bound), then
-  // flip one payload byte — at-rest bit rot inside a committed shard.
-  const std::vector<std::uint8_t> bytes = *vfs.peek(kJournal);
-  auto u32_at = [&](std::size_t p) {
-    return static_cast<std::uint32_t>(bytes[p]) |
-           static_cast<std::uint32_t>(bytes[p + 1]) << 8 |
-           static_cast<std::uint32_t>(bytes[p + 2]) << 16 |
-           static_cast<std::uint32_t>(bytes[p + 3]) << 24;
-  };
-  struct Frame {
-    std::size_t payload_off;
-    std::size_t len;
-    store::RecordType type;
-  };
-  std::vector<Frame> frames;
-  std::vector<store::ContractRecord> records;
-  for (std::size_t pos = store::kJournalHeaderSize;
-       pos + store::kFrameOverhead <= bytes.size();) {
-    const std::uint32_t len = u32_at(pos);
-    Frame f{pos + 5, len, static_cast<store::RecordType>(bytes[pos + 4])};
-    frames.push_back(f);
-    if (f.type == store::RecordType::kContract) {
-      auto rec = store::decode_contract_record(
-          {bytes.data() + f.payload_off, f.len});
-      ASSERT_TRUE(rec.has_value());
-      records.push_back(std::move(*rec));
-    }
-    pos += store::kFrameOverhead + len;
-  }
-  auto group_size = [&](const crypto::Hash256& h) {
-    std::size_t n = 0;
-    for (const auto& r : records) n += r.code_hash == h ? 1 : 0;
-    return n;
-  };
-  std::optional<Frame> victim_frame;
-  std::size_t victim_group = 0;
-  std::size_t rec_idx = 0;
-  for (const Frame& f : frames) {
-    if (f.type != store::RecordType::kContract) continue;
-    const std::size_t g = group_size(records[rec_idx].code_hash);
-    ++rec_idx;
-    if (g <= 8 && f.len > 0) {
-      victim_frame = f;
-      victim_group = g;
-      break;
-    }
-  }
-  ASSERT_TRUE(victim_frame.has_value());
-  ASSERT_TRUE(
-      vfs.flip_byte(kJournal, victim_frame->payload_off + victim_frame->len / 2));
+  const std::vector<RecordFrame> frames = contract_frames(*vfs.peek(kJournal));
+  const std::optional<std::size_t> victim = pick(frames);
+  ASSERT_TRUE(victim.has_value());
+  const RecordFrame& f = frames[*victim];
+  ASSERT_GT(f.len, 0u);
+  ASSERT_TRUE(vfs.flip_byte(kJournal, f.payload_off + f.len / 2));
 
-  // Resume: the salvage replay loses exactly the destroyed record, its hash
-  // group comes up short, and the whole group — nothing else — recomputes.
   obs::Registry reg;
   const store::DurableSweepResult healed = resume_sweep(pop, inputs, vfs, &reg);
   ASSERT_TRUE(healed.error.empty()) << healed.error;
   EXPECT_TRUE(healed.complete);
   EXPECT_FALSE(healed.degraded);
-  EXPECT_EQ(healed.recomputed, victim_group);
-  EXPECT_EQ(healed.replayed, inputs.size() - victim_group);
+  EXPECT_EQ(healed.recomputed, 1u);
+  EXPECT_EQ(healed.replayed, inputs.size() - 1);
   EXPECT_EQ(healed.stats.selfheal_shards, 1u);
-  // The fresh registry's corrupt-gap counter is the resume's delta.
+  // The fresh registry's corrupt-gap counter is the incremental pass's delta.
   EXPECT_EQ(reg.counter("store.journal.corrupt_gaps").value(), 1u);
   expect_same_verdicts(healed.stats, base.stats);
+  for (const std::string& address : test::record_diffs(
+           test::last_wins_records(kJournal, vfs), undamaged)) {
+    ADD_FAILURE() << "healed record differs: " << address;
+  }
 
   // The corrupt gap stays in the file (append-only journal), but a salvage
   // scan reads the healed sweep end-to-end.
@@ -334,6 +347,56 @@ TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatGroup) {
   EXPECT_EQ(replay->corrupt_gaps, 1u);
   EXPECT_FALSE(replay->tail_dropped);
   EXPECT_EQ(replay->frames.back().type, store::RecordType::kSweepEnd);
+}
+
+/// The n-th journaled member (0 = the group's representative) of the first
+/// proxy code-hash group with at least three members.
+std::optional<std::size_t> proxy_group_member(
+    const std::vector<RecordFrame>& frames, std::size_t n) {
+  auto members_of = [&](const crypto::Hash256& h) {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      if (frames[i].record.code_hash == h) out.push_back(i);
+    }
+    return out;
+  };
+  for (const RecordFrame& f : frames) {
+    if (!f.record.analysis.proxy.is_proxy()) continue;
+    const std::vector<std::size_t> members = members_of(f.record.code_hash);
+    if (members.size() >= 3) {
+      EXPECT_FALSE(frames[members[0]].record.analysis.deduplicated);
+      EXPECT_TRUE(frames[members[1]].record.analysis.deduplicated);
+      return members[n];
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatRecord) {
+  // The first record in the journal.
+  expect_bit_rot_heals_one_record(
+      [](const std::vector<RecordFrame>& frames) -> std::optional<std::size_t> {
+        if (frames.empty()) return std::nullopt;
+        return 0;
+      });
+}
+
+TEST(ChaosCrash, BitRotOnAGroupRepresentativeRecomputesOnlyIt) {
+  // The re-run representative is seeded from a sibling's verdict and keeps
+  // its own dedup flag; its siblings replay untouched.
+  expect_bit_rot_heals_one_record(
+      [](const std::vector<RecordFrame>& frames) {
+        return proxy_group_member(frames, 0);
+      });
+}
+
+TEST(ChaosCrash, BitRotOnAGroupSiblingRecomputesOnlyIt) {
+  // The re-run sibling is seeded from the representative's verdict and
+  // journaled as a dedup clone.
+  expect_bit_rot_heals_one_record(
+      [](const std::vector<RecordFrame>& frames) {
+        return proxy_group_member(frames, 1);
+      });
 }
 
 }  // namespace

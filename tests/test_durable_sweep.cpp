@@ -1,10 +1,9 @@
 // End-to-end tests for the durable sharded sweep: bit-identity with a
-// monolithic run, kill-at-mid-sweep + resume with zero recomputation of
-// committed work, torn-tail recovery, incremental re-sweep after an
+// monolithic run, kill-at-mid-sweep + incremental() with zero recomputation
+// of committed work, torn-tail recovery, incremental re-sweep after an
 // upgrade wave, and quarantine healing through the journal.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -13,6 +12,7 @@
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "datagen/population.h"
+#include "journal_oracle.h"
 #include "store/durable_sweep.h"
 #include "store/journal.h"
 #include "store/records.h"
@@ -20,17 +20,7 @@
 namespace {
 
 using namespace proxion;
-
-namespace fs = std::filesystem;
-
-std::string temp_journal(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / "proxion_sweep_tests";
-  fs::create_directories(dir);
-  const fs::path p = dir / name;
-  fs::remove(p);
-  fs::remove(store::manifest_path_for(p.string()));
-  return p.string();
-}
+using test::temp_journal;
 
 datagen::Population make_population(std::uint32_t n = 900) {
   datagen::PopulationSpec spec;
@@ -101,13 +91,26 @@ TEST(DurableSweep, MatchesMonolithicRun) {
   EXPECT_EQ(manifest->contracts_committed, inputs.size());
 }
 
+/// Every last-wins journal record must equal the matching report of a
+/// monolithic run over the same chain (see test::report_diffs for
+/// `same_head`).
+void expect_journal_matches(const std::string& journal,
+                            const std::vector<core::ContractAnalysis>& reports,
+                            bool same_head = true) {
+  for (const std::string& address : test::report_diffs(
+           test::last_wins_records(journal), reports, same_head)) {
+    ADD_FAILURE() << "journaled record differs from the cold run: " << address;
+  }
+}
+
 TEST(DurableSweep, KillMidSweepThenResumeIsBitIdentical) {
   datagen::Population pop = make_population();
   const auto inputs = pop.sweep_inputs();
 
   core::PipelineConfig config;
   core::AnalysisPipeline mono(*pop.chain, &pop.sources, config);
-  const auto mono_stats = mono.summarize(mono.run(inputs));
+  const auto mono_reports = mono.run(inputs);
+  const auto mono_stats = mono.summarize(mono_reports);
 
   core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
   store::DurableSweepConfig sc;
@@ -130,15 +133,16 @@ TEST(DurableSweep, KillMidSweepThenResumeIsBitIdentical) {
 
   sc.max_shards = 0;
   store::DurableSweep resumed(piped, *pop.chain, &pop.sources, sc);
-  const store::DurableSweepResult result = resumed.resume(inputs);
+  const store::DurableSweepResult result = resumed.incremental(inputs);
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_TRUE(result.complete);
   // Zero recomputation of committed work: every journaled contract replays.
   EXPECT_EQ(result.replayed, partial.recomputed);
   EXPECT_EQ(result.recomputed, inputs.size() - partial.recomputed);
   expect_same_verdicts(result.stats, mono_stats);
+  expect_journal_matches(sc.journal_path, mono_reports);
   EXPECT_EQ(result.stats.journal_replayed, result.replayed);
-  EXPECT_EQ(result.stats.incremental_reanalyzed, 0u);
+  EXPECT_EQ(result.stats.incremental_reanalyzed, result.recomputed);
 
   const auto manifest =
       store::load_manifest(store::manifest_path_for(sc.journal_path));
@@ -174,7 +178,7 @@ TEST(DurableSweep, ResumeSurvivesTornTail) {
 
   sc.max_shards = 0;
   store::DurableSweep resumed(piped, *pop.chain, &pop.sources, sc);
-  const store::DurableSweepResult result = resumed.resume(inputs);
+  const store::DurableSweepResult result = resumed.incremental(inputs);
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.replayed, partial.recomputed);
@@ -252,8 +256,9 @@ TEST(DurableSweep, MappingKeyFlipBetweenLapsStaysBitIdentical) {
   ASSERT_TRUE(second.complete);
 
   core::AnalysisPipeline cold(*pop.chain, &pop.sources, config);
-  const auto cold_stats = cold.summarize(cold.run(inputs));
-  expect_same_verdicts(second.stats, cold_stats);
+  const auto cold_reports = cold.run(inputs);
+  expect_same_verdicts(second.stats, cold.summarize(cold_reports));
+  expect_journal_matches(sc.journal_path, cold_reports);
 }
 
 TEST(DurableSweep, IncrementalAfterUpgradeWaveReanalyzesOnlyChanges) {
@@ -302,8 +307,11 @@ TEST(DurableSweep, IncrementalAfterUpgradeWaveReanalyzesOnlyChanges) {
 
   // The merged result equals a from-scratch sweep of the mutated chain.
   core::AnalysisPipeline fresh(*pop.chain, &pop.sources, config);
-  const auto fresh_stats = fresh.summarize(fresh.run(inputs));
-  expect_same_verdicts(inc.stats, fresh_stats);
+  const auto fresh_reports = fresh.run(inputs);
+  expect_same_verdicts(inc.stats, fresh.summarize(fresh_reports));
+  // The wave mined two blocks: the replayed proxies' Algorithm 1 probe
+  // counts are those of the base sweep's head.
+  expect_journal_matches(sc.journal_path, fresh_reports, /*same_head=*/false);
   // The wave's upgrade events are visible in the merged histogram.
   EXPECT_EQ(inc.stats.total_upgrade_events,
             base.stats.total_upgrade_events + upgraded.size());
@@ -340,8 +348,8 @@ TEST(DurableSweep, ResumeRetriesQuarantinedRecords) {
     for (const auto& r : journaled) n += r.code_hash == h ? 1 : 0;
     return n;
   };
-  // A proxy from a small clone family, so the whole-group recompute below
-  // has a known, tight size.
+  // A proxy from a small clone family: only the victim recomputes, while
+  // its healthy siblings replay.
   std::optional<store::ContractRecord> victim;
   for (const auto& rec : journaled) {
     if (rec.analysis.proxy.verdict == core::ProxyVerdict::kProxy &&
@@ -351,7 +359,6 @@ TEST(DurableSweep, ResumeRetriesQuarantinedRecords) {
     }
   }
   ASSERT_TRUE(victim.has_value());
-  const std::size_t victim_group = group_size(victim->code_hash);
   victim->analysis.error = core::ErrorRecord{core::ErrorKind::kRpcExhausted,
                                              "pairs", "injected outage"};
   {
@@ -362,15 +369,20 @@ TEST(DurableSweep, ResumeRetriesQuarantinedRecords) {
     ASSERT_TRUE(writer->sync());
   }
 
-  const store::DurableSweepResult healed = sweep.resume(inputs);
+  const store::DurableSweepResult healed = sweep.incremental(inputs);
   ASSERT_TRUE(healed.error.empty()) << healed.error;
   EXPECT_TRUE(healed.complete);
-  // The victim's whole hash group re-ran (dedup metadata must converge);
-  // everything else replayed.
-  EXPECT_EQ(healed.recomputed, victim_group);
+  // Only the victim re-ran; everything else, its siblings included,
+  // replayed.
+  EXPECT_EQ(healed.recomputed, 1u);
   EXPECT_EQ(healed.replayed + healed.recomputed, inputs.size());
   EXPECT_EQ(healed.stats.quarantined, 0u);
   expect_same_verdicts(healed.stats, clean_stats);
+  const test::RecordMap records = test::last_wins_records(sc.journal_path);
+  const auto it = records.find(victim->analysis.address.to_hex());
+  ASSERT_NE(it, records.end());
+  victim->analysis.error.reset();
+  EXPECT_EQ(it->second, *victim);
 }
 
 TEST(DurableSweep, ShedBetweenShardsDoesNotChangeResults) {

@@ -248,6 +248,44 @@ TEST(ChainFollower, EmptyBlockFastForwardsWithoutResweep) {
   EXPECT_GT(snap->version, version);  // stamp advanced without a resweep
 }
 
+TEST(ChainFollower, FollowerEventsAreCountersAndLevelsGauges) {
+  // Laps, fast-forwards and absorbed blocks are events: counters that track
+  // FollowerStats one for one. Head and snapshot facts are levels: gauges.
+  datagen::Population pop = make_population(300);
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, {});
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("counters.journal");
+  serve::QueryService query;
+  obs::Registry reg;
+  serve::ChainFollowerConfig fc = follower_config();
+  fc.registry = &reg;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), fc);
+  settle(pop, follower);
+  pop.chain->mine_block();
+  follower.poll();  // an empty block: a fast-forward
+
+  const serve::FollowerStats& stats = follower.stats();
+  ASSERT_GT(stats.laps.load(), 0u);
+  ASSERT_GT(stats.fast_forwards.load(), 0u);
+  const obs::Registry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("sweep.follower.laps"), stats.laps.load());
+  EXPECT_EQ(snap.counters.at("sweep.follower.fast_forwards"),
+            stats.fast_forwards.load());
+  EXPECT_EQ(snap.counters.at("sweep.follower.blocks_processed"),
+            stats.blocks_processed.load());
+  for (const char* event :
+       {"sweep.follower.laps", "sweep.follower.fast_forwards",
+        "sweep.follower.blocks_processed"}) {
+    EXPECT_EQ(snap.gauges.count(event), 0u) << event << " is also a gauge";
+  }
+  EXPECT_EQ(snap.gauges.at("sweep.follower.head"),
+            static_cast<std::int64_t>(pop.chain->height()));
+  EXPECT_EQ(snap.gauges.at("sweep.follower.staleness_blocks"), 0);
+  EXPECT_EQ(snap.gauges.at("sweep.follower.snapshot_entries"),
+            static_cast<std::int64_t>(stats.snapshot_entries.load()));
+}
+
 TEST(ChainFollower, ImplSlotWriteToQuarantinedContractHeals) {
   datagen::Population pop = make_population();
   core::PipelineConfig config;

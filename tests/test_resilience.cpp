@@ -2,8 +2,9 @@
 // breaker state machine, deterministic fault injection, retry convergence,
 // and the pipeline-level acceptance properties — a faulty sweep with retries
 // is bit-identical to a fault-free one, exhausted retries quarantine instead
-// of aborting, resume() converges, and adversarial bytecode halts at the
-// step fuse instead of hanging the sweep.
+// of aborting, a durable sweep's incremental() pass converges once the
+// backend heals, and adversarial bytecode halts at the step fuse instead of
+// hanging the sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,8 @@
 #include "core/pipeline.h"
 #include "datagen/contract_factory.h"
 #include "datagen/population.h"
+#include "journal_oracle.h"
+#include "store/durable_sweep.h"
 #include "util/resilience.h"
 
 namespace {
@@ -451,7 +454,7 @@ TEST_F(FaultSweepTest, TenPercentFaultsWithRetriesIsBitIdenticalToFaultFree) {
   EXPECT_EQ(stats.breaker_trips, 0u);
 }
 
-TEST_F(FaultSweepTest, ExhaustedRetriesQuarantineAndResumeConverges) {
+TEST_F(FaultSweepTest, ExhaustedRetriesQuarantineAndIncrementalConverges) {
   Population pop = make_population(300);
   const auto inputs = pop.sweep_inputs();
 
@@ -466,9 +469,14 @@ TEST_F(FaultSweepTest, ExhaustedRetriesQuarantineAndResumeConverges) {
   FaultInjectingArchiveNode faulty(inner, profile);
 
   AnalysisPipeline pipeline(*pop.chain, &pop.sources, faulted_config(&faulty));
-  auto reports = pipeline.run(inputs);
+  store::DurableSweepConfig sc;
+  sc.journal_path = test::temp_journal("outage.journal");
+  sc.shard_size = 100;
+  store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources, sc);
+  const store::DurableSweepResult outage = sweep.run(inputs);
+  ASSERT_TRUE(outage.error.empty()) << outage.error;
 
-  const LandscapeStats partial = pipeline.summarize(reports);
+  const LandscapeStats& partial = outage.stats;
   ASSERT_GT(partial.quarantined, 0u) << "the outage quarantined nothing";
   EXPECT_LT(partial.quarantined, partial.total_contracts);
   EXPECT_EQ(partial.analyzed_contracts,
@@ -479,25 +487,195 @@ TEST_F(FaultSweepTest, ExhaustedRetriesQuarantineAndResumeConverges) {
   }
   EXPECT_GT(exhausted, 0u);
   EXPECT_GT(partial.rpc_giveups, 0u);
-  for (const auto& r : reports) {
-    if (r.quarantined()) {
-      EXPECT_EQ(r.error->kind, ErrorKind::kRpcExhausted);
-      EXPECT_FALSE(r.error->phase.empty());
+  for (const auto& [address, rec] : test::last_wins_records(sc.journal_path)) {
+    if (rec.analysis.quarantined()) {
+      EXPECT_EQ(rec.analysis.error->kind, ErrorKind::kRpcExhausted);
+      EXPECT_FALSE(rec.analysis.error->phase.empty());
     }
   }
 
-  // The backend recovers; resume retries only the quarantined set and the
-  // final reports converge to exactly the fault-free run's.
+  // The backend recovers; incremental() recomputes exactly the quarantined
+  // records and the journal converges to the fault-free run's reports.
   faulty.heal();
-  const std::size_t still = pipeline.resume(inputs, reports);
-  EXPECT_EQ(still, 0u);
-  ASSERT_EQ(reports.size(), clean.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[i], clean[i]) << "resumed report " << i << " diverged";
+  const store::DurableSweepResult healed = sweep.incremental(inputs);
+  ASSERT_TRUE(healed.error.empty()) << healed.error;
+  EXPECT_EQ(healed.recomputed, partial.quarantined);
+  EXPECT_EQ(healed.stats.quarantined, 0u);
+  for (const std::string& address : test::report_diffs(
+           test::last_wins_records(sc.journal_path), clean)) {
+    ADD_FAILURE() << "journaled report diverged: " << address;
   }
-  EXPECT_EQ(pipeline.summarize(reports).quarantined, 0u);
-  // A second resume over healthy reports is a no-op.
-  EXPECT_EQ(pipeline.resume(inputs, reports), 0u);
+  // A second pass over healthy records recomputes nothing.
+  EXPECT_EQ(sweep.incremental(inputs).recomputed, 0u);
+}
+
+/// The backend and resilience-layer counters one run's figures must equal.
+struct ArchiveTotals {
+  std::uint64_t storage_calls = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t faults = 0;
+  std::uint64_t giveups = 0;
+
+  static ArchiveTotals of(const chain::ArchiveNode& backend,
+                          const ResilientArchiveNode& resilient) {
+    return {backend.get_storage_at_calls(), resilient.retries(),
+            resilient.faults_seen(), resilient.giveups()};
+  }
+};
+
+void expect_run_figures(const LandscapeStats& stats,
+                        const ArchiveTotals& before,
+                        const ArchiveTotals& after) {
+  EXPECT_EQ(stats.get_storage_at_calls,
+            after.storage_calls - before.storage_calls);
+  EXPECT_EQ(stats.rpc_retries, after.retries - before.retries);
+  EXPECT_EQ(stats.rpc_faults, after.faults - before.faults);
+  EXPECT_EQ(stats.rpc_giveups, after.giveups - before.giveups);
+}
+
+TEST_F(FaultSweepTest, RunStatsReportEachRunsOwnArchiveTraffic) {
+  Population pop = make_population(400);
+  const auto inputs = pop.sweep_inputs();
+
+  chain::ArchiveNode inner(*pop.chain);
+  FaultProfile profile;
+  profile.seed = 2024;
+  profile.transient_rate = 0.05;
+  FaultInjectingArchiveNode faulty(inner, profile);
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, faulted_config(&faulty));
+  ASSERT_NE(pipeline.resilient_node(), nullptr);
+
+  // Warm reruns reuse the cached blobs and verdicts but redo Algorithm 1, so
+  // each run makes its own storage calls; none may report a running total.
+  std::vector<std::uint64_t> storage_calls;
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const ArchiveTotals before =
+        ArchiveTotals::of(inner, *pipeline.resilient_node());
+    const auto reports = pipeline.run(inputs);
+    const LandscapeStats stats = pipeline.summarize(reports);
+    expect_run_figures(stats, before,
+                       ArchiveTotals::of(inner, *pipeline.resilient_node()));
+    EXPECT_GT(stats.get_storage_at_calls, 0u);
+    storage_calls.push_back(stats.get_storage_at_calls);
+  }
+  EXPECT_GT(storage_calls[0], storage_calls[1]);
+  EXPECT_LE(storage_calls[2], storage_calls[0]);
+}
+
+TEST_F(FaultSweepTest, DurableSweepReportsTheSumOfItsShards) {
+  Population pop = make_population(300);
+  const auto inputs = pop.sweep_inputs();
+
+  chain::ArchiveNode inner(*pop.chain);
+  FaultProfile profile;
+  profile.seed = 2025;
+  profile.transient_rate = 0.05;
+  FaultInjectingArchiveNode faulty(inner, profile);
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, faulted_config(&faulty));
+  ASSERT_NE(pipeline.resilient_node(), nullptr);
+  store::DurableSweepConfig sc;
+  sc.journal_path = test::temp_journal("shard_sums.journal");
+  sc.shard_size = 110;
+  store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources, sc);
+
+  const ArchiveTotals before =
+      ArchiveTotals::of(inner, *pipeline.resilient_node());
+  const store::DurableSweepResult result = sweep.run(inputs);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.shards_run, 3u);
+  EXPECT_GT(result.stats.get_storage_at_calls, 0u);
+  EXPECT_GT(result.stats.rpc_retries, 0u);
+  expect_run_figures(result.stats, before,
+                     ArchiveTotals::of(inner, *pipeline.resilient_node()));
+}
+
+/// Forwards to an inner archive, except that the code of one address cannot
+/// be fetched (an exhausted retry budget) until heal().
+class DeadCodeNode final : public chain::IArchiveNode {
+ public:
+  DeadCodeNode(const chain::IArchiveNode& inner, evm::Address dead)
+      : inner_(inner), dead_(dead) {}
+  void heal() { healed_.store(true); }
+
+  evm::U256 get_storage_at(const evm::Address& account, const evm::U256& slot,
+                           std::uint64_t block) const override {
+    return inner_.get_storage_at(account, slot, block);
+  }
+  evm::Bytes get_code(const evm::Address& account) const override {
+    if (account == dead_ && !healed_.load()) {
+      throw RpcError(RpcErrorKind::kExhausted, "code fetch down");
+    }
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+ private:
+  const chain::IArchiveNode& inner_;
+  evm::Address dead_;
+  std::atomic<bool> healed_{false};
+};
+
+TEST_F(FaultSweepTest, UnfetchableRepresentativeQuarantinesItsWholeGroup) {
+  // Without its representative's code a group's dedup would elect a
+  // stand-in whose address-seeded verdict and dedup flag a fault-free run
+  // never gives; the durable sweep quarantines the group instead, and the
+  // incremental pass after healing converges record for record.
+  Population pop = make_population(600);
+  const auto inputs = pop.sweep_inputs();
+  AnalysisPipeline clean_pipeline(*pop.chain, &pop.sources);
+  const auto clean = clean_pipeline.run(inputs);
+
+  // The first proxy code-hash group with at least three members.
+  std::vector<evm::Address> group;
+  for (std::size_t i = 0; i < inputs.size() && group.empty(); ++i) {
+    if (!clean[i].proxy.is_proxy()) continue;
+    const crypto::Hash256 hash =
+        evm::code_hash(pop.chain->code_at(inputs[i].address));
+    std::vector<evm::Address> members;
+    for (const SweepInput& input : inputs) {
+      if (evm::code_hash(pop.chain->code_at(input.address)) == hash) {
+        members.push_back(input.address);
+      }
+    }
+    if (members.size() >= 3) group = std::move(members);
+  }
+  ASSERT_GE(group.size(), 3u);
+
+  chain::ArchiveNode inner(*pop.chain);
+  DeadCodeNode dead(inner, group.front());
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, faulted_config(&dead));
+  store::DurableSweepConfig sc;
+  sc.journal_path = test::temp_journal("dead_representative.journal");
+  store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources, sc);
+  const store::DurableSweepResult outage = sweep.run(inputs);
+  ASSERT_TRUE(outage.error.empty()) << outage.error;
+  EXPECT_EQ(outage.stats.quarantined, group.size());
+  const test::RecordMap records = test::last_wins_records(sc.journal_path);
+  for (const evm::Address& member : group) {
+    const auto it = records.find(member.to_hex());
+    ASSERT_NE(it, records.end());
+    ASSERT_TRUE(it->second.analysis.quarantined()) << member.to_hex();
+    EXPECT_EQ(it->second.analysis.error->phase, "fetch");
+  }
+
+  dead.heal();
+  const store::DurableSweepResult healed = sweep.incremental(inputs);
+  ASSERT_TRUE(healed.error.empty()) << healed.error;
+  EXPECT_EQ(healed.recomputed, group.size());
+  EXPECT_EQ(healed.stats.quarantined, 0u);
+  for (const std::string& address : test::report_diffs(
+           test::last_wins_records(sc.journal_path), clean)) {
+    ADD_FAILURE() << "journaled report diverged: " << address;
+  }
+  EXPECT_EQ(sweep.incremental(inputs).recomputed, 0u);
 }
 
 TEST_F(FaultSweepTest, RetriesDisabledQuarantinesEveryFaultedContract) {
@@ -568,26 +746,37 @@ TEST_F(FaultSweepTest, WallClockWatchdogQuarantinesAsEmulationLimit) {
   PipelineConfig cfg;
   cfg.contract_wall_budget_ms = 1e-9;  // everything blows the budget
   AnalysisPipeline pipeline(*pop.chain, &pop.sources, cfg);
-  auto reports = pipeline.run(inputs);
+  store::DurableSweepConfig sc;
+  sc.journal_path = test::temp_journal("watchdog.journal");
+  const store::DurableSweepResult dogged_sweep =
+      store::DurableSweep(pipeline, *pop.chain, &pop.sources, sc).run(inputs);
+  ASSERT_TRUE(dogged_sweep.error.empty()) << dogged_sweep.error;
 
   std::uint64_t dogged = 0;
-  for (const auto& r : reports) {
-    if (r.quarantined() && r.error->kind == ErrorKind::kEmulationLimit) {
+  for (const auto& [address, rec] : test::last_wins_records(sc.journal_path)) {
+    if (rec.analysis.quarantined() &&
+        rec.analysis.error->kind == ErrorKind::kEmulationLimit) {
       ++dogged;
     }
   }
   EXPECT_GT(dogged, 0u) << "watchdog never fired";
+  EXPECT_EQ(dogged, dogged_sweep.stats.quarantined);
 
-  // Raising the budget back to unlimited and resuming clears the quarantine
-  // and converges to the plain run.
+  // A pipeline with the budget back at unlimited continues the same journal:
+  // it clears the quarantine and converges to the plain run.
   AnalysisPipeline clean_pipeline(*pop.chain, &pop.sources);
   const auto clean = clean_pipeline.run(inputs);
   AnalysisPipeline retry_pipeline(*pop.chain, &pop.sources);
-  const std::size_t still = retry_pipeline.resume(inputs, reports);
-  EXPECT_EQ(still, 0u);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[i], clean[i]);
+  store::DurableSweep retry(retry_pipeline, *pop.chain, &pop.sources, sc);
+  const store::DurableSweepResult healed = retry.incremental(inputs);
+  ASSERT_TRUE(healed.error.empty()) << healed.error;
+  EXPECT_EQ(healed.recomputed, dogged);
+  EXPECT_EQ(healed.stats.quarantined, 0u);
+  for (const std::string& address : test::report_diffs(
+           test::last_wins_records(sc.journal_path), clean)) {
+    ADD_FAILURE() << "journaled report diverged: " << address;
   }
+  EXPECT_EQ(retry.incremental(inputs).recomputed, 0u);
 }
 
 }  // namespace

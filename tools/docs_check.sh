@@ -28,7 +28,13 @@
 #      alerting on" table is rendered from a registry name under src/: with
 #      the `proxion_` prefix and any `_total` suffix stripped, it must equal
 #      some dotted string literal in src/ with `.` sanitized to `_` (an
-#      alert on a series nothing exports never fires).
+#      alert on a series nothing exports never fires);
+#   8. every `--flag` on a landscape_survey command line in *.md, docs/*.md
+#      or tools/*.sh is a `"--flag"` string literal in
+#      examples/landscape_survey.cpp, so no doc shows a flag the example no
+#      longer parses. A command line is `landscape_survey --...` (a closing
+#      quote may sit between the two) up to the end of the line (backslash
+#      continuations joined) or the closing backtick of inline code.
 # Pure POSIX sh + grep/sed/awk; no network, no build required.
 set -eu
 cd "$(dirname "$0")/.."
@@ -248,6 +254,36 @@ for series in $alert_series; do
   fi
 done
 
+# ---- 8. landscape_survey flags in docs vs the example's parser ----------
+shown_flags=$(cat *.md docs/*.md tools/*.sh |
+  awk '{ line = line $0 }
+       /\\$/ { sub(/\\$/, "", line); next }
+       {
+         while (match(line, /landscape_survey"? +--/)) {
+           line = substr(line, RSTART + length("landscape_survey"))
+           command = line
+           if (index(command, "`") > 0) {
+             command = substr(command, 1, index(command, "`") - 1)
+           }
+           while (match(command, /--[a-z][a-z0-9-]*/)) {
+             print substr(command, RSTART, RLENGTH)
+             command = substr(command, RSTART + RLENGTH)
+           }
+         }
+         line = ""
+       }' | sort -u)
+if [ -z "$shown_flags" ]; then
+  echo "docs_check: found no landscape_survey command line in the docs" >&2
+  fail=1
+fi
+for flag in $shown_flags; do
+  if ! grep -qF "\"$flag\"" examples/landscape_survey.cpp; then
+    echo "docs_check: docs show 'landscape_survey ... $flag' but" \
+      "examples/landscape_survey.cpp does not parse \"$flag\"" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
   echo "docs_check: all markdown links resolve;" \
     "all $(echo "$pipeline_fields" | wc -l | tr -d ' ') PipelineConfig and" \
@@ -258,6 +294,7 @@ if [ "$fail" -eq 0 ]; then
     "$(echo "$endpoints" | wc -l | tr -d ' ') endpoints and" \
     "$(echo "$service_knobs" | wc -l | tr -d ' ') service knobs wired;" \
     "$(echo "$api_fields" | wc -l | tr -d ' ') /v1 fields in sync;" \
-    "$(echo "$alert_series" | wc -l | tr -d ' ') alert series exported"
+    "$(echo "$alert_series" | wc -l | tr -d ' ') alert series exported;" \
+    "$(echo "$shown_flags" | wc -l | tr -d ' ') landscape_survey flags parsed"
 fi
 exit "$fail"

@@ -5,7 +5,7 @@
 #   - /v1/contract answers flip to the new implementation after an upgrade,
 #   - /v1/status shows the staleness gauge back at 0 between laps,
 #   - /v1/vulns filters by class and rejects unknown classes,
-#   - /metrics carries the sweep.follower.* gauges,
+#   - /metrics carries the sweep.follower.* series,
 #   - /healthz parks the phase at "following" between laps.
 # The unit suite (test_query_service) covers the rendering and the follower
 # protocol; this covers the wiring an operator actually runs.
@@ -156,12 +156,12 @@ assert status == 400 and err["error"] == "bad_address", err
 print(f"  /v1/vulns: {vulns['count']} storage_collision hit(s); "
       "error shapes uniform")
 
-# 4. The follower gauges are exported and /healthz is in the following phase.
+# 4. The follower series are exported and /healthz is in the following phase.
 with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:
     metrics = resp.read().decode()
 for series in ("proxion_sweep_follower_head",
                "proxion_sweep_follower_staleness_blocks",
-               "proxion_sweep_follower_laps",
+               "proxion_sweep_follower_laps_total",
                "proxion_sweep_follower_snapshot_version"):
     assert series in metrics, f"missing {series}"
 
@@ -173,7 +173,7 @@ while True:
         break
     assert time.monotonic() < deadline, f"never parked at following: {health}"
     time.sleep(0.2)
-print(f"  /metrics: follower gauges present; /healthz phase=following")
+print(f"  /metrics: follower series present; /healthz phase=following")
 EOF
 
 kill "${SURVEY_PID}" 2>/dev/null || true
